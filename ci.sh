@@ -443,4 +443,15 @@ grep -q "\"spm_used\":${SPM_BYTES}[,}]" /tmp/casa_exp_sessions/ci-explain-9.expl
 grep "ci-explain-9" /tmp/casa_exp_tail.txt | grep -q "cache=miss" \
   || { echo "journal does not record ci-explain-9 as the miss its sibling implies"; exit 1; }
 
+echo "== perfbench: unit tests and the flow_sim golden digest"
+# The perf benchmark is a workspace of its own. Its unit tests pin the
+# op lists, percentile and host-scaling arithmetic. One short flow_sim
+# run then checks the seed-1 golden digest of fetch counters, energy
+# and placement on real mediabench walks, so a simulator change that
+# moves any counter fails here however fast it is.
+cargo test --release --manifest-path perfbench/Cargo.toml
+PERF_LINE="$(python3 perfbench/run.py --workload flow_sim --seed 1 --seconds 1 --trace 0 | tail -n1)"
+echo "$PERF_LINE" | grep -q '"correct": true' \
+  || { echo "flow_sim run is not correct: $PERF_LINE"; exit 1; }
+
 echo "CI OK"

@@ -27,6 +27,7 @@
 
 use crate::allocation::Allocation;
 use crate::energy_model::EnergyModel;
+use crate::greedy::allocate_greedy;
 use crate::session::SessionRecorder;
 use casa_ilp::engine::{Budget, BudgetKind, CancelToken};
 use casa_ilp::tree::{TreeEvent, TreeEventKind, TreeRecorder};
@@ -273,7 +274,9 @@ pub fn allocate_bb_obs(model: &EnergyModel<'_>, capacity: u32, obs: &Obs) -> All
 /// The search keeps a feasible incumbent from t=0 — the better of the
 /// built-in density-greedy fill and the warm start — so budget
 /// exhaustion degrades the proof, never the availability, of an
-/// allocation. Observability: the search runs in a `solve.bb` span
+/// allocation. A budget-stopped answer is also never worse than
+/// [`allocate_greedy`]'s, which replaces a worse incumbent (and is
+/// logged as the last incumbent) before the gap is taken. Observability: the search runs in a `solve.bb` span
 /// with `core.bb.nodes` / `core.bb.incumbents` counters, `bb.incumbent`
 /// instant events, a `core.bb.gap` gauge, and a
 /// `core.engine.budget.<kind>` counter when a budget dimension fires.
@@ -541,13 +544,30 @@ pub fn allocate_bb_traced(
         search.dfs(0, capacity, base, &mut chosen, &mut pair_counted);
     }
     best_sav = search.best_sav;
-    let on_spm = search.best_chosen;
+    let mut on_spm = search.best_chosen;
     let nodes = search.nodes;
     let stopped_by = search.stopped;
+    let mut incumbents = search.incumbents;
+    // An anytime answer is never worse than `CasaGreedy`'s: when the
+    // budget stops the search short of a proof, the marginal greedy
+    // (which re-prices conflicts after every placement, unlike the
+    // density fill the search starts from) replaces a worse incumbent
+    // and the gap below is taken against it. Proven optima are left
+    // alone, so their tie-breaking never depends on the heuristic.
+    if stopped_by.is_some() {
+        let greedy = allocate_greedy(model, capacity).on_spm;
+        let sav = sm.exact_savings(&greedy);
+        if sav > best_sav + 1e-9 {
+            rec.record_incumbent(nodes, sav, greedy.clone());
+            incumbents += 1;
+            best_sav = sav;
+            on_spm = greedy;
+        }
+    }
     rec.record_stop(stopped_by.map(BudgetKind::as_str), nodes);
     tree.set_nodes(nodes);
     obs.add("core.bb.nodes", nodes);
-    obs.add("core.bb.incumbents", search.incumbents);
+    obs.add("core.bb.incumbents", incumbents);
 
     // Savings and energy differ by the fixed baseline, so the proven
     // savings gap IS the energy gap: root_bound − best known savings.
@@ -718,6 +738,42 @@ mod tests {
         let e_opt = full.predicted_energy.unwrap();
         assert!(e_inc >= e_opt - 1e-9);
         assert!(e_inc - e_opt <= out.gap + 1e-9, "gap does not cover truth");
+    }
+
+    #[test]
+    fn budget_stopped_answer_never_worse_than_casa_greedy() {
+        // Objects 0 and 1 share one heavy conflict edge, so each one's
+        // optimistic savings count it: the density fill takes both and
+        // fills the scratchpad. The marginal greedy re-prices the edge
+        // after taking 0 and takes the hot object 2 instead.
+        let g = graph(vec![100, 100, 3000], vec![64, 64, 64], &[(0, 1, 50)]);
+        let t = table();
+        let m = EnergyModel::new(&g, &t);
+        let sm = SavingsModel::new(&m, 128);
+        let fill = m.total_energy(&sm.greedy_chosen(128));
+        let greedy = allocate_greedy(&m, 128);
+        let e_greedy = greedy.predicted_energy.unwrap();
+        assert!(e_greedy < fill - 1.0, "instance must favour the greedy");
+
+        let rec = SessionRecorder::enabled();
+        let out = allocate_bb_recorded(&m, 128, &Budget::nodes(1), None, &Obs::disabled(), &rec);
+        assert_eq!(out.stopped_by, Some(BudgetKind::Nodes));
+        assert_eq!(out.allocation.on_spm, greedy.on_spm);
+        assert_eq!(out.allocation.predicted_energy, Some(e_greedy));
+        // The gap is re-taken against the adopted answer and still
+        // covers the distance to the optimum.
+        let e_opt = allocate_bb(&m, 128).predicted_energy.unwrap();
+        let gap_fill = sm.root_bound(128) - sm.exact_savings(&sm.greedy_chosen(128));
+        assert!(out.gap < gap_fill);
+        assert!(e_greedy - e_opt <= out.gap + 1e-9);
+        // The session log ends on the adopted answer, as replay checks.
+        let log = rec.take().expect("recording enabled");
+        assert_eq!(log.incumbents.last().unwrap().on_spm, greedy.on_spm);
+
+        // Proven optima never consult the greedy.
+        let full = allocate_bb_budgeted(&m, 128, &Budget::unlimited(), None, &Obs::disabled());
+        assert!(full.is_optimal());
+        assert_eq!(full.allocation.predicted_energy, Some(e_opt));
     }
 
     #[test]

@@ -164,6 +164,13 @@ fn uint_field(v: &Value, what: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
+/// A [`uint_field`] that must fit a `u32`: larger values are refused,
+/// never truncated.
+fn u32_field(v: &Value, what: &str) -> Result<u32, String> {
+    let n = uint_field(v, what)?;
+    u32::try_from(n).map_err(|_| format!("{what} must be at most {}, got {n}", u32::MAX))
+}
+
 fn uint_array(v: &Value, what: &str) -> Result<Vec<u64>, String> {
     v.as_array()
         .ok_or_else(|| format!("{what} must be an array"))?
@@ -188,27 +195,29 @@ fn parse_budget(v: &Value) -> Result<(Option<u64>, Option<u64>), String> {
     Ok((nodes, ms))
 }
 
+/// The request's cache, validated by the same
+/// [`CacheConfig::validate`] every cache model runs, so a geometry the
+/// simulator or the energy model cannot build is a 400 here.
 fn parse_cache_config(v: &Value) -> Result<CacheConfig, String> {
-    let size = uint_field(v.get("size").ok_or("cache.size is required")?, "cache.size")? as u32;
+    let size = u32_field(v.get("size").ok_or("cache.size is required")?, "cache.size")?;
     let line = match v.get("line") {
-        Some(l) => uint_field(l, "cache.line")? as u32,
+        Some(l) => u32_field(l, "cache.line")?,
         None => 16,
     };
     let assoc = match v.get("assoc") {
-        Some(a) => uint_field(a, "cache.assoc")? as u32,
+        Some(a) => u32_field(a, "cache.assoc")?,
         None => 1,
     };
-    if size == 0 || line == 0 || assoc == 0 || !size.is_multiple_of(line) {
-        return Err(format!(
-            "invalid cache geometry: size {size}, line {line}, assoc {assoc}"
-        ));
-    }
-    Ok(CacheConfig {
+    let cfg = CacheConfig {
         size,
         line_size: line,
         associativity: assoc,
         policy: ReplacementPolicy::Lru,
-    })
+    };
+    cfg.validate().map_err(|e| {
+        format!("invalid cache geometry: size {size}, line {line}, assoc {assoc}: {e}")
+    })?;
+    Ok(cfg)
 }
 
 fn parse_table(v: &Value) -> Result<EnergyTable, String> {
@@ -259,7 +268,10 @@ fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
                 return Err(format!("graph.edges[{k}] must be [i, j, misses]"));
             };
             let (i, j) = (i as usize, j as usize);
-            if i >= n || j >= n || i == j {
+            // Self edges `[i, i, m]` are an object's conflicts with
+            // its own lines; the energy model and every allocator
+            // price them.
+            if i >= n || j >= n {
                 return Err(format!(
                     "graph.edges[{k}]: bad endpoints ({i}, {j}) for {n} objects"
                 ));
@@ -267,7 +279,14 @@ fn parse_graph(v: &Value) -> Result<ConflictGraph, String> {
             edges.insert((i, j), m);
         }
     }
-    let sizes: Vec<u32> = sizes.iter().map(|&s| s as u32).collect();
+    let sizes = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            u32::try_from(s)
+                .map_err(|_| format!("graph.sizes[{i}] must be at most {}, got {s}", u32::MAX))
+        })
+        .collect::<Result<Vec<u32>, String>>()?;
     Ok(ConflictGraph::from_parts(fetches, sizes, edges))
 }
 
@@ -358,7 +377,7 @@ pub fn parse_request(body: &str) -> Result<ParsedRequest, RequestError> {
     if version != WIRE_VERSION {
         return Err(RequestError::UnsupportedVersion { got: version });
     }
-    let capacity = uint_field(v.get("capacity").ok_or("capacity is required")?, "capacity")? as u32;
+    let capacity = u32_field(v.get("capacity").ok_or("capacity is required")?, "capacity")?;
     let allocator = match v.get("allocator") {
         Some(a) => {
             let tag = a.as_str().ok_or("allocator must be a string")?;
@@ -1605,6 +1624,139 @@ mod tests {
         off.insert(1, b"k".to_vec(), ans("b"));
         assert_eq!(off.lookup(1, b"k"), None);
         assert!(off.is_empty());
+    }
+
+    #[test]
+    fn parse_refuses_geometry_the_cache_models_cannot_build() {
+        // A 12-byte line passed the old server-side check but panics
+        // every cache model; the library's own validation refuses it.
+        for cache in [
+            "{\"size\":48,\"line\":12}",
+            "{\"size\":96,\"line\":16,\"assoc\":2}",
+            "{\"size\":1024,\"assoc\":0}",
+        ] {
+            let body = format!(
+                "{{\"capacity\":64,\"cache\":{cache},\"graph\":{{\"fetches\":[1],\"sizes\":[8]}}}}"
+            );
+            let err = parse_request(&body).unwrap_err();
+            assert!(
+                err.to_string().contains("invalid cache geometry"),
+                "{cache}: {err}"
+            );
+            let body = format!(
+                "{{\"capacity\":64,\"cache\":{cache},\"workload\":{{\"benchmark\":\"adpcm\"}}}}"
+            );
+            assert!(
+                parse_request(&body).is_err(),
+                "workload form admits {cache}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_refuses_integers_that_do_not_fit_u32() {
+        // 4294967360 = 2^32 + 64 used to be answered as capacity 64.
+        let body = "{\"capacity\":4294967360,\"cache\":{\"size\":1024},\"graph\":{\"fetches\":[1],\"sizes\":[8]}}";
+        let err = parse_request(body).unwrap_err().to_string();
+        assert!(err.contains("capacity must be at most"), "{err}");
+        let body = "{\"capacity\":64,\"cache\":{\"size\":4294968320},\"graph\":{\"fetches\":[1],\"sizes\":[8]}}";
+        assert!(parse_request(body)
+            .unwrap_err()
+            .to_string()
+            .contains("cache.size must be at most"));
+        let body = "{\"capacity\":64,\"cache\":{\"size\":1024},\"graph\":{\"fetches\":[1],\"sizes\":[4294967304]}}";
+        assert!(parse_request(body)
+            .unwrap_err()
+            .to_string()
+            .contains("graph.sizes[0] must be at most"));
+        // The largest representable value still parses.
+        let body = "{\"capacity\":4294967295,\"cache\":{\"size\":1024},\"graph\":{\"fetches\":[1],\"sizes\":[8]}}";
+        let ParsedRequest::Graph(job) = parse_request(body).expect("u32::MAX fits") else {
+            panic!("graph request parsed as workload");
+        };
+        assert_eq!(job.capacity, u32::MAX);
+    }
+
+    /// A library adpcm profiling graph: its traces outgrow the 128 B
+    /// cache and evict their own lines, so it carries self-conflict
+    /// edges `[i, i, m]`.
+    fn adpcm_graph_with_self_edges() -> (ConflictGraph, u32) {
+        use casa_mem::{simulate, HierarchyConfig};
+        use casa_trace::trace::{form_traces, TraceConfig};
+        use casa_trace::Layout;
+        let w = casa_workloads::adpcm().compile();
+        let (exec, profile) = casa_workloads::Walker::new(&w.program, &w.behaviors)
+            .run(7)
+            .expect("adpcm terminates");
+        let cache = CacheConfig::direct_mapped(128, 16);
+        for cap in [64, 128, 256, 512] {
+            let traces = form_traces(
+                &w.program,
+                &profile,
+                TraceConfig::new(cap, 16),
+                &Obs::disabled(),
+            );
+            let layout = Layout::initial(&w.program, &traces);
+            let sim = simulate(
+                &w.program,
+                &traces,
+                &layout,
+                &exec,
+                &HierarchyConfig::spm_system(cache, cap),
+            )
+            .expect("profiling sim");
+            let graph = ConflictGraph::from_simulation(&traces, &sim);
+            if graph.edges().any(|((i, j), _)| i == j) {
+                return (graph, cap);
+            }
+        }
+        panic!("no adpcm profiling graph has a self edge");
+    }
+
+    #[test]
+    fn self_edge_graphs_are_served_like_in_process_solves() {
+        let (graph, cap) = adpcm_graph_with_self_edges();
+        let list = |v: Vec<String>| v.join(",");
+        let mut edges: Vec<((usize, usize), u64)> = graph.edges().collect();
+        edges.sort_unstable();
+        let body = format!(
+            "{{\"allocator\":\"casa-bb\",\"cache\":{{\"size\":128,\"line\":16}},\"capacity\":{cap},\
+             \"graph\":{{\"fetches\":[{}],\"sizes\":[{}],\"edges\":[{}]}}}}",
+            list((0..graph.len()).map(|i| graph.fetches_of(i).to_string()).collect()),
+            list((0..graph.len()).map(|i| graph.size_of(i).to_string()).collect()),
+            list(
+                edges
+                    .iter()
+                    .map(|((i, j), m)| format!("[{i},{j},{m}]"))
+                    .collect()
+            ),
+        );
+        let ParsedRequest::Graph(job) = parse_request(&body).expect("self edges are accepted")
+        else {
+            panic!("graph request parsed as workload");
+        };
+        assert_eq!(job.graph.edges().count(), edges.len());
+
+        let svc = AllocService::start(&ServiceConfig::default(), &Obs::disabled());
+        let reply = svc.submit(job.clone()).expect("served");
+        let served = serde::json::parse(&reply.body)
+            .expect("json reply")
+            .get("energy_nj")
+            .and_then(Value::as_f64)
+            .expect("energy_nj");
+
+        let mut local = job;
+        local.normalize(DEFAULT_MAX_NODES);
+        let model = EnergyModel::new(&local.graph, &local.table);
+        let out = crate::engine::allocate_budgeted(
+            &model,
+            local.capacity,
+            local.allocator,
+            &local.budget(),
+            &Obs::disabled(),
+        );
+        assert_eq!(served, model.total_energy(&out.allocation.on_spm));
+        assert_eq!(reply.body, response_json(&local, &out, &model));
     }
 
     #[test]

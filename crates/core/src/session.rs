@@ -1396,6 +1396,35 @@ mod tests {
     }
 
     #[test]
+    fn greedy_adopted_bb_session_replays() {
+        // The density fill takes both ends of the heavy edge; a
+        // one-node search stops on it and adopts CasaGreedy's better
+        // answer, which must land in the log as its last incumbent.
+        let mut edges = HashMap::new();
+        edges.insert((0, 1), 50);
+        let graph = ConflictGraph::from_parts(vec![100, 100, 3000], vec![64, 64, 64], edges);
+        let table = EnergyTable::build(1024, 16, 1, 128, None, &TechParams::default());
+        let j = SolveJob {
+            graph,
+            table,
+            capacity: 128,
+            allocator: AllocatorKind::CasaBb,
+            budget_nodes: Some(1),
+            budget_ms: None,
+            explain: false,
+        };
+        let s = record(&j);
+        let model = EnergyModel::new(&j.graph, &j.table);
+        let greedy = crate::greedy::allocate_greedy(&model, 128);
+        assert_eq!(s.stopped_by.as_deref(), Some("nodes"));
+        assert_eq!(s.layout, greedy.on_spm);
+        assert!(s.log.incumbents.len() >= 2, "greedy answer not logged");
+        let summary = s.replay().expect("replay");
+        assert_eq!(summary.gap.map(f64::to_bits), Some(s.gap_bits));
+        assert_eq!(s.divergence().expect("replayable"), None);
+    }
+
+    #[test]
     fn tampered_layout_energy_or_report_is_caught() {
         let j = job(AllocatorKind::CasaBb, None);
         let good = record(&j);

@@ -13,6 +13,8 @@ use casa_obs::LocalCounter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::error::Error;
+use std::fmt;
 
 /// Cache replacement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,18 +74,79 @@ impl CacheConfig {
         self.line_size / 4
     }
 
-    fn validate(&self) {
-        assert!(self.line_size.is_power_of_two(), "line size must be 2^k");
-        assert!(
-            self.associativity >= 1
-                && self
-                    .size
-                    .is_multiple_of(self.line_size * self.associativity),
-            "size must be a multiple of line_size * associativity"
-        );
-        assert!(self.num_sets().is_power_of_two(), "sets must be 2^k");
+    /// Check the geometry every cache model relies on: a power-of-two
+    /// line size, at least one way, a size that is a whole number of
+    /// `line_size · associativity` rows, and a power-of-two set count.
+    /// Set and tag arithmetic is shift-and-mask, so these are hard
+    /// requirements, not style.
+    ///
+    /// # Errors
+    ///
+    /// The first violated requirement, as a [`GeometryError`].
+    pub fn validate(&self) -> Result<(), GeometryError> {
+        if !self.line_size.is_power_of_two() {
+            return Err(GeometryError::LineSize(self.line_size));
+        }
+        if self.associativity == 0 {
+            return Err(GeometryError::NoWays);
+        }
+        let row = u64::from(self.line_size) * u64::from(self.associativity);
+        if self.size == 0 || !u64::from(self.size).is_multiple_of(row) {
+            return Err(GeometryError::SizeNotRows {
+                size: self.size,
+                line_size: self.line_size,
+                associativity: self.associativity,
+            });
+        }
+        let sets = self.num_sets();
+        if !sets.is_power_of_two() {
+            return Err(GeometryError::SetCount(sets));
+        }
+        Ok(())
     }
 }
+
+/// Why a [`CacheConfig`] cannot describe a cache, from
+/// [`CacheConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeometryError {
+    /// The line size is not a power of two (zero included).
+    LineSize(u32),
+    /// The associativity is zero.
+    NoWays,
+    /// The size is zero or not a multiple of `line_size · associativity`.
+    SizeNotRows {
+        /// Total capacity in bytes.
+        size: u32,
+        /// Line size in bytes.
+        line_size: u32,
+        /// Number of ways.
+        associativity: u32,
+    },
+    /// The resulting set count is not a power of two.
+    SetCount(u32),
+}
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GeometryError::LineSize(l) => write!(f, "line size must be 2^k, got {l}"),
+            GeometryError::NoWays => f.write_str("associativity must be at least 1"),
+            GeometryError::SizeNotRows {
+                size,
+                line_size,
+                associativity,
+            } => write!(
+                f,
+                "size {size} must be a non-zero multiple of line_size * associativity \
+                 ({line_size} * {associativity})"
+            ),
+            GeometryError::SetCount(n) => write!(f, "sets must be 2^k, got {n}"),
+        }
+    }
+}
+
+impl Error for GeometryError {}
 
 /// Outcome of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +155,8 @@ pub struct CacheAccess {
     pub hit: bool,
     /// Set index the address mapped to.
     pub set: u32,
+    /// Tag of the accessed line.
+    pub tag: u32,
     /// Way the line resides in after the access.
     pub way: u32,
     /// On a miss that replaced a valid line: that line's tag.
@@ -110,6 +175,12 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_size)`: address → line number.
+    line_shift: u32,
+    /// `num_sets - 1`: line number → set.
+    set_mask: u32,
+    /// `log2(line_size · num_sets)`: address → tag.
+    tag_shift: u32,
     ways: Vec<Way>, // num_sets * associativity, row-major by set
     rr_counters: Vec<u32>,
     rng: SmallRng,
@@ -123,17 +194,25 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is not internally consistent
-    /// (non-power-of-two line size or set count, zero ways).
+    /// Panics if [`CacheConfig::validate`] rejects the configuration
+    /// (non-power-of-two line size or set count, zero ways); request
+    /// handlers call `validate` first and answer with the error.
     pub fn new(config: CacheConfig) -> Self {
-        config.validate();
-        let n = (config.num_sets() * config.associativity) as usize;
+        if let Err(e) = config.validate() {
+            panic!("invalid cache geometry: {e}");
+        }
+        let sets = config.num_sets();
+        let n = (sets * config.associativity) as usize;
+        let line_shift = config.line_size.trailing_zeros();
         let seed = match config.policy {
             ReplacementPolicy::Random(s) => s,
             _ => 0,
         };
         Cache {
             config,
+            line_shift,
+            set_mask: sets - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
             ways: vec![
                 Way {
                     valid: false,
@@ -155,12 +234,27 @@ impl Cache {
         &self.config
     }
 
+    /// The line number of `addr` (`addr / line_size`): two addresses
+    /// share a cache line iff their line numbers are equal.
+    #[inline]
+    pub(crate) fn line_of(&self, addr: u32) -> u32 {
+        addr >> self.line_shift
+    }
+
+    /// [`CacheConfig::map`] and [`CacheConfig::tag`] by shift and mask.
+    #[inline]
+    fn set_and_tag(&self, addr: u32) -> (u32, u32) {
+        (
+            (addr >> self.line_shift) & self.set_mask,
+            addr >> self.tag_shift,
+        )
+    }
+
     /// Access `addr`, updating state. Returns hit/miss plus victim
     /// information for conflict attribution.
     pub fn access(&mut self, addr: u32) -> CacheAccess {
         self.clock += 1;
-        let set = self.config.map(addr);
-        let tag = self.config.tag(addr);
+        let (set, tag) = self.set_and_tag(addr);
         let assoc = self.config.associativity as usize;
         let base = set as usize * assoc;
 
@@ -175,6 +269,7 @@ impl Cache {
                 return CacheAccess {
                     hit: true,
                     set,
+                    tag,
                     way: w as u32,
                     evicted_tag: None,
                 };
@@ -192,9 +287,33 @@ impl Cache {
         CacheAccess {
             hit: false,
             set,
+            tag,
             way: victim as u32,
             evicted_tag,
         }
+    }
+
+    /// Access `addr` `count ≥ 1` times in a row: one real access, then
+    /// `count − 1` repeat hits on the line it just touched. Exactly
+    /// equivalent to `count` calls of [`Cache::access`] — nothing can
+    /// evict the line between back-to-back accesses — so every later
+    /// access sees the same state: the clock advances by `count`, an
+    /// LRU line's stamp is the last access's, and hits grow by the
+    /// repeats. FIFO, round-robin and random state change only on
+    /// fills, which repeats never cause. Returns the first access.
+    pub(crate) fn access_run(&mut self, addr: u32, count: u32) -> CacheAccess {
+        debug_assert!(count >= 1, "a run has at least one access");
+        let first = self.access(addr);
+        let repeats = count - 1;
+        if repeats > 0 {
+            self.clock += u64::from(repeats);
+            if matches!(self.config.policy, ReplacementPolicy::Lru) {
+                let assoc = self.config.associativity as usize;
+                self.ways[first.set as usize * assoc + first.way as usize].stamp = self.clock;
+            }
+            self.hits.add(u64::from(repeats));
+        }
+        first
     }
 
     fn pick_victim(&mut self, set: u32) -> usize {
@@ -226,8 +345,7 @@ impl Cache {
 
     /// Look up whether `addr` is currently resident (no state change).
     pub fn probe(&self, addr: u32) -> bool {
-        let set = self.config.map(addr);
-        let tag = self.config.tag(addr);
+        let (set, tag) = self.set_and_tag(addr);
         let assoc = self.config.associativity as usize;
         let base = set as usize * assoc;
         (0..assoc).any(|w| self.ways[base + w].valid && self.ways[base + w].tag == tag)
@@ -260,7 +378,7 @@ impl Cache {
     /// Reconstruct the base address of a line from its set and tag
     /// (inverse of [`CacheConfig::map`] / [`CacheConfig::tag`]).
     pub fn line_addr(&self, set: u32, tag: u32) -> u32 {
-        (tag * self.config.num_sets() + set) * self.config.line_size
+        ((tag << (self.tag_shift - self.line_shift)) | set) << self.line_shift
     }
 }
 
@@ -426,6 +544,34 @@ mod tests {
         assert!(!c.probe(0));
         assert_eq!(c.hits(), 0);
         assert_eq!(c.misses(), 0);
+    }
+
+    #[test]
+    fn validate_names_each_broken_requirement() {
+        let cfg = |size, line_size, associativity| CacheConfig {
+            size,
+            line_size,
+            associativity,
+            policy: ReplacementPolicy::Lru,
+        };
+        assert_eq!(cfg(2048, 16, 2).validate(), Ok(()));
+        assert_eq!(cfg(192, 16, 3).validate(), Ok(()), "3 ways, 4 sets");
+        assert_eq!(cfg(48, 12, 1).validate(), Err(GeometryError::LineSize(12)));
+        assert_eq!(cfg(64, 0, 1).validate(), Err(GeometryError::LineSize(0)));
+        assert_eq!(cfg(64, 16, 0).validate(), Err(GeometryError::NoWays));
+        for (size, assoc) in [(0, 1), (100, 1), (64, 8)] {
+            assert!(matches!(
+                cfg(size, 16, assoc).validate(),
+                Err(GeometryError::SizeNotRows { .. })
+            ));
+        }
+        // line · ways overflows u32: refused, not wrapped.
+        assert!(matches!(
+            cfg(u32::MAX, 1 << 31, 4).validate(),
+            Err(GeometryError::SizeNotRows { .. })
+        ));
+        assert_eq!(cfg(96, 16, 2).validate(), Err(GeometryError::SetCount(3)));
+        assert!(GeometryError::SetCount(3).to_string().contains("2^k"));
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn simulate_data(
     let n = sizes.len();
     let bases = data_layout(sizes, dcache.line_size);
     let mut cache = Cache::new(dcache);
-    let mut recorder = ConflictRecorder::new(n);
+    let mut recorder = ConflictRecorder::new(n, dcache.num_sets());
     // Dirty bits per (set, tag) for write-back accounting.
     let mut dirty: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
     let mut writeback_word_accesses = 0u64;
@@ -178,7 +178,7 @@ pub fn simulate_data(
         }
         let addr = bases[object] + offset;
         let access = cache.access(addr);
-        let tag = dcache.tag(addr);
+        let tag = access.tag;
         if access.hit {
             object_hits[object] += 1;
         } else {

@@ -21,7 +21,7 @@ use crate::loop_cache::PreloadError;
 use crate::recorder::{NullRecorder, Recorder};
 use crate::stats::FetchStats;
 use casa_ir::{BlockId, Program, Terminator};
-use casa_trace::{Layout, TraceSet};
+use casa_trace::{Layout, Location, TraceSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -180,7 +180,105 @@ pub struct Replayer<R: Recorder = NullRecorder> {
     trace_lc: Vec<u64>,
     base_cycles: u64,
     copy_words: u64,
-    cache_tag_shift_div: u32,
+}
+
+/// Consecutive fetches of one block that one memory-system access
+/// serves: the same scratchpad bank, the loop cache, or one I-cache
+/// line (see [`InstMemorySystem::same_run`]).
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// The first fetch.
+    first: Location,
+    /// The highest address fetched (a scratchpad run's bounds check).
+    last: u32,
+    /// Fetches in the run (≥ 1).
+    count: u32,
+}
+
+/// One basic block compiled against a (layout, memory system) pair.
+#[derive(Debug, Clone, Copy)]
+struct CompiledBlock {
+    /// Memory object (trace) index the block's fetches are charged to.
+    object: usize,
+    /// `runs[start..end]` of the replay's flat run list.
+    start: u32,
+    end: u32,
+    /// Base cycles of the block's instructions.
+    base_cycles: u64,
+    /// Trace-exit glue jump: a one-fetch run, issued when the next
+    /// executed block is the given fall-through successor.
+    glue: Option<(BlockId, Run)>,
+}
+
+/// Every block of `program` compiled into line runs under `layout`.
+struct CompiledProgram {
+    blocks: Vec<CompiledBlock>,
+    runs: Vec<Run>,
+}
+
+impl CompiledProgram {
+    fn new<R: Recorder>(
+        program: &Program,
+        traces: &TraceSet,
+        layout: &Layout,
+        system: &InstMemorySystem<R>,
+    ) -> Self {
+        let mut runs: Vec<Run> = Vec::new();
+        let blocks = program
+            .blocks()
+            .iter()
+            .enumerate()
+            .map(|(b, block)| {
+                let id = BlockId::from_raw(b as u32);
+                let start = runs.len();
+                let mut prev: Option<Location> = None;
+                for (loc, _size) in layout.inst_locations(program, traces, id) {
+                    match (prev, runs.last_mut()) {
+                        (Some(p), Some(run)) if system.same_run(p, loc) => {
+                            run.last = run.last.max(loc.addr);
+                            run.count += 1;
+                        }
+                        _ => runs.push(Run {
+                            first: loc,
+                            last: loc.addr,
+                            count: 1,
+                        }),
+                    }
+                    prev = Some(loc);
+                }
+                let tid = traces.trace_of(id);
+                let trace = traces.trace(tid);
+                let glue = if trace.glue_jump_size().is_some() && trace.blocks().last() == Some(&id)
+                {
+                    block.terminator().fallthrough_successor().map(|ft| {
+                        let loc = layout
+                            .glue_location(tid)
+                            .expect("trace with glue jump has a glue location");
+                        let jump = Run {
+                            first: loc,
+                            last: loc.addr,
+                            count: 1,
+                        };
+                        (ft, jump)
+                    })
+                } else {
+                    None
+                };
+                CompiledBlock {
+                    object: tid.index(),
+                    start: start as u32,
+                    end: runs.len() as u32,
+                    base_cycles: block
+                        .insts()
+                        .iter()
+                        .map(|inst| u64::from(inst.kind().base_cycles()))
+                        .sum(),
+                    glue,
+                }
+            })
+            .collect();
+        CompiledProgram { blocks, runs }
+    }
 }
 
 impl Replayer {
@@ -212,7 +310,7 @@ impl<R: Recorder> Replayer<R> {
         let n = traces.len();
         Ok(Replayer {
             system: InstMemorySystem::with_recorder(config, recorder)?,
-            recorder: ConflictRecorder::new(n),
+            recorder: ConflictRecorder::new(n, config.cache.num_sets()),
             trace_fetches: vec![0; n],
             trace_hits: vec![0; n],
             trace_misses: vec![0; n],
@@ -220,7 +318,6 @@ impl<R: Recorder> Replayer<R> {
             trace_lc: vec![0; n],
             base_cycles: 0,
             copy_words: 0,
-            cache_tag_shift_div: config.cache.line_size * config.cache.num_sets(),
         })
     }
 
@@ -228,6 +325,13 @@ impl<R: Recorder> Replayer<R> {
     /// detection looks one block past the end of the range, so
     /// consecutive segment replays behave exactly like one big replay
     /// under a constant layout.
+    ///
+    /// The replay first compiles every block into *line runs*
+    /// (`DESIGN.md` §18): maximal stretches of consecutive instructions
+    /// one memory-system access serves. Each run then costs one
+    /// `InstMemorySystem::fetch_run`, and every counter, the
+    /// conflict attribution and the recorder's events come out exactly
+    /// as fetching instruction by instruction would leave them.
     ///
     /// # Panics
     ///
@@ -243,46 +347,38 @@ impl<R: Recorder> Replayer<R> {
     ) {
         let blocks = exec.blocks();
         assert!(range.end <= blocks.len(), "segment out of bounds");
+        let compiled = CompiledProgram::new(program, traces, layout, &self.system);
         for pos in range {
-            let block = blocks[pos];
-            let tid = traces.trace_of(block);
-            let ti = tid.index();
-            for (loc, _size) in layout.inst_locations(program, traces, block) {
-                self.serve(ti, loc);
+            let cb = &compiled.blocks[blocks[pos].index()];
+            for run in &compiled.runs[cb.start as usize..cb.end as usize] {
+                self.serve(cb.object, run);
             }
-            for inst in program.block(block).insts() {
-                self.base_cycles += u64::from(inst.kind().base_cycles());
-            }
+            self.base_cycles += cb.base_cycles;
             // Trace-exit glue jump: fetched when the fall-through edge
             // leaves the trace.
-            let trace = traces.trace(tid);
-            if trace.glue_jump_size().is_some() && Some(&block) == trace.blocks().last() {
-                let ft = program.block(block).terminator().fallthrough_successor();
-                let next = blocks.get(pos + 1).copied();
-                if ft.is_some() && ft == next {
-                    let glue = layout
-                        .glue_location(tid)
-                        .expect("trace with glue jump has a glue location");
-                    self.serve(ti, glue);
+            if let Some((ft, jump)) = &cb.glue {
+                if blocks.get(pos + 1) == Some(ft) {
+                    self.serve(cb.object, jump);
                     self.base_cycles += u64::from(casa_ir::InstKind::Jump.base_cycles());
                 }
             }
         }
     }
 
-    fn serve(&mut self, ti: usize, loc: casa_trace::Location) {
-        self.trace_fetches[ti] += 1;
-        match self.system.fetch(loc) {
-            FetchEvent::Spm { .. } => self.trace_spm[ti] += 1,
-            FetchEvent::LoopCache => self.trace_lc[ti] += 1,
+    fn serve(&mut self, ti: usize, run: &Run) {
+        let n = u64::from(run.count);
+        self.trace_fetches[ti] += n;
+        match self.system.fetch_run(run.first, run.last, run.count) {
+            FetchEvent::Spm { .. } => self.trace_spm[ti] += n,
+            FetchEvent::LoopCache => self.trace_lc[ti] += n,
             FetchEvent::Cache(access) => {
                 if access.hit {
-                    self.trace_hits[ti] += 1;
+                    self.trace_hits[ti] += n;
                 } else {
+                    self.trace_hits[ti] += n - 1;
                     self.trace_misses[ti] += 1;
-                    let tag = loc.addr / self.cache_tag_shift_div;
                     self.recorder
-                        .on_miss(ti, access.set, tag, access.evicted_tag);
+                        .on_miss(ti, access.set, access.tag, access.evicted_tag);
                 }
             }
         }

@@ -163,28 +163,71 @@ impl<R: Recorder> InstMemorySystem<R> {
     /// have, or an address outside that bank — both indicate a layout
     /// bug, not a runtime condition.
     pub fn fetch(&mut self, loc: Location) -> FetchEvent {
-        self.counters.fetches.inc();
+        self.fetch_run(loc, loc.addr, 1)
+    }
+
+    /// Whether a fetch of `next` directly after a fetch of `prev` can
+    /// join `prev`'s run in [`InstMemorySystem::fetch_run`]: both go
+    /// to the same scratchpad bank, both to the loop cache, or both to
+    /// the same I-cache line.
+    pub(crate) fn same_run(&self, prev: Location, next: Location) -> bool {
+        match (prev.region, next.region) {
+            (Region::Spm(a), Region::Spm(b)) => a == b,
+            (Region::Main, Region::Main) => {
+                let in_lc = |addr| self.loop_cache.as_ref().is_some_and(|lc| lc.contains(addr));
+                match (in_lc(prev.addr), in_lc(next.addr)) {
+                    (true, true) => true,
+                    (false, false) => {
+                        self.cache.line_of(prev.addr) == self.cache.line_of(next.addr)
+                    }
+                    _ => false,
+                }
+            }
+            _ => false,
+        }
+    }
+
+    /// Fetch `count ≥ 1` instructions in a row: the first at `loc`,
+    /// the rest at addresses up to `last` (the run's highest), each
+    /// joined to its predecessor by [`InstMemorySystem::same_run`].
+    ///
+    /// Counters and recorder tallies come out exactly as `count`
+    /// single fetches would leave them. A scratchpad or loop-cache run
+    /// is `count` accesses of the same component. An I-cache run is
+    /// one real access and `count − 1` hits on the line it just
+    /// touched ([`Cache::access_run`]); only that first access can
+    /// miss, so only it reaches the L2 and main memory. The returned
+    /// event is the first fetch's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` names a scratchpad bank the system does not
+    /// have, or `last` lies outside that bank — both indicate a layout
+    /// bug, not a runtime condition.
+    pub(crate) fn fetch_run(&mut self, loc: Location, last: u32, count: u32) -> FetchEvent {
+        let n = u64::from(count);
+        self.counters.fetches.add(n);
         match loc.region {
             Region::Spm(bank) => {
                 let spm = self
                     .spm
                     .get_mut(bank as usize)
                     .unwrap_or_else(|| panic!("no scratchpad bank {bank}"));
-                spm.access(loc.addr);
-                self.counters.spm_accesses.inc();
-                self.recorder.spm_access(bank);
+                spm.access_run(last, n);
+                self.counters.spm_accesses.add(n);
+                self.recorder.spm_accesses(bank, count);
                 FetchEvent::Spm { bank }
             }
             Region::Main => {
                 if let Some(lc) = &mut self.loop_cache {
-                    if lc.access(loc.addr) {
-                        self.counters.loop_cache_accesses.inc();
-                        self.recorder.loop_cache_access();
+                    if lc.access_run(loc.addr, n) {
+                        self.counters.loop_cache_accesses.add(n);
+                        self.recorder.loop_cache_accesses(count);
                         return FetchEvent::LoopCache;
                     }
                 }
-                let access = self.cache.access(loc.addr);
-                self.counters.cache_accesses.inc();
+                let access = self.cache.access_run(loc.addr, count);
+                self.counters.cache_accesses.add(n);
                 self.recorder.cache_access(access.set, access.hit);
                 if access.hit {
                     self.counters.cache_hits.inc();
@@ -209,6 +252,10 @@ impl<R: Recorder> InstMemorySystem<R> {
                         }
                         None => self.counters.main_word_accesses.add(words),
                     }
+                }
+                if count > 1 {
+                    self.counters.cache_hits.add(n - 1);
+                    self.recorder.cache_hits(access.set, count - 1);
                 }
                 FetchEvent::Cache(access)
             }

@@ -142,8 +142,14 @@ impl LoopCacheController {
     /// Fetch at `addr`: returns `true` and counts the access if served
     /// by the loop cache.
     pub fn access(&mut self, addr: u32) -> bool {
+        self.access_run(addr, 1)
+    }
+
+    /// `count` fetches starting at `addr`, all inside or all outside
+    /// the preloaded ranges: returns `true` and counts them if inside.
+    pub(crate) fn access_run(&mut self, addr: u32, count: u64) -> bool {
         if self.contains(addr) {
-            self.accesses += 1;
+            self.accesses += count;
             true
         } else {
             false

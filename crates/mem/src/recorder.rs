@@ -22,6 +22,16 @@ pub trait Recorder {
         let _ = (set, hit);
     }
 
+    /// `count` I-cache hits in a row in `set` (a line-run replay's
+    /// repeat fetches); the same as `count` hitting
+    /// [`Recorder::cache_access`] calls.
+    #[inline]
+    fn cache_hits(&mut self, set: u32, count: u32) {
+        for _ in 0..count {
+            self.cache_access(set, true);
+        }
+    }
+
     /// A line fill into `set` (every miss allocates a line).
     #[inline]
     fn cache_fill(&mut self, set: u32) {
@@ -40,9 +50,27 @@ pub trait Recorder {
         let _ = bank;
     }
 
+    /// `count` fetches served by scratchpad bank `bank`; the same as
+    /// `count` [`Recorder::spm_access`] calls.
+    #[inline]
+    fn spm_accesses(&mut self, bank: u8, count: u32) {
+        for _ in 0..count {
+            self.spm_access(bank);
+        }
+    }
+
     /// A fetch served by the loop cache.
     #[inline]
     fn loop_cache_access(&mut self) {}
+
+    /// `count` fetches served by the loop cache; the same as `count`
+    /// [`Recorder::loop_cache_access`] calls.
+    #[inline]
+    fn loop_cache_accesses(&mut self, count: u32) {
+        for _ in 0..count {
+            self.loop_cache_access();
+        }
+    }
 
     /// An L2 lookup that hit (`hit`) or missed.
     #[inline]

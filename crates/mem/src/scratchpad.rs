@@ -38,12 +38,22 @@ impl Scratchpad {
     /// engine guarantees in-range addresses, so an out-of-range access
     /// is a bug, not a runtime condition.
     pub fn access(&mut self, addr: u32) {
+        self.access_run(addr, 1);
+    }
+
+    /// Fetch `count` instructions whose highest address is `last`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` lies outside the scratchpad, as
+    /// [`Scratchpad::access`] does.
+    pub(crate) fn access_run(&mut self, last: u32, count: u64) {
         assert!(
-            addr < self.size,
-            "scratchpad access at {addr} outside region of {} bytes",
+            last < self.size,
+            "scratchpad access at {last} outside region of {} bytes",
             self.size
         );
-        self.accesses += 1;
+        self.accesses += count;
     }
 
     /// Accesses recorded so far.
