@@ -214,6 +214,16 @@ if grep -rn "#\[deprecated" crates src examples --include='*.rs'; then
   echo "deprecated item reintroduced"; exit 1
 fi
 
+echo "== solve-surface grep: allocate and allocate_budgeted are the only solve entry points"
+# Every solve goes through engine::allocate(model, cap, kind, &SolveCtx);
+# allocate_budgeted is its budget-and-Obs shorthand. A new capture
+# channel is a projection of the search-event stream, not another
+# allocate_* wrapper.
+if grep -n "pub fn allocate" crates/core/src/engine.rs crates/core/src/casa_bb.rs crates/core/src/casa_ilp.rs \
+    | grep -v -E "pub fn (allocate|allocate_budgeted)\("; then
+  echo "extra allocate* entry point reintroduced"; exit 1
+fi
+
 echo "== record/replay: golden sessions from a smoke sweep"
 # A smoke sweep with --session-dir records one .casa-session (plus a
 # .report.json sibling) per scratchpad cell. Every session must replay

@@ -6,14 +6,12 @@
 
 use casa_bench::experiments::{paper_sizes, LINE_SIZE};
 use casa_bench::runner::prepared;
-use casa_core::casa_bb::allocate_bb;
-use casa_core::casa_ilp::{allocate_ilp, Linearization};
 use casa_core::conflict::ConflictGraph;
 use casa_core::energy_model::EnergyModel;
+use casa_core::engine::{allocate, SolveCtx};
 use casa_core::flow::{run_spm_flow, AllocatorKind, FlowConfig, FlowCtx};
 use casa_core::greedy::allocate_greedy;
 use casa_energy::{EnergyTable, TechParams};
-use casa_ilp::SolverOptions;
 use casa_mem::cache::CacheConfig;
 use casa_workloads::mediabench;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -48,8 +46,9 @@ fn bench_solvers(c: &mut Criterion) {
         );
         let mut group = c.benchmark_group(format!("solver/{name}"));
         group.sample_size(10);
+        let ctx = SolveCtx::default();
         group.bench_function("casa_bb_exact", |b| {
-            b.iter(|| black_box(allocate_bb(&model, spm)))
+            b.iter(|| black_box(allocate(&model, spm, AllocatorKind::CasaBb, &ctx)))
         });
         group.bench_function("greedy", |b| {
             b.iter(|| black_box(allocate_greedy(&model, spm)))
@@ -58,20 +57,10 @@ fn bench_solvers(c: &mut Criterion) {
         // gap against the specialized search *is* the ablation.
         if graph.len() <= 40 {
             group.bench_function("ilp_paper_linearization", |b| {
-                b.iter(|| {
-                    black_box(
-                        allocate_ilp(&model, spm, Linearization::Paper, &SolverOptions::default())
-                            .expect("solves"),
-                    )
-                })
+                b.iter(|| black_box(allocate(&model, spm, AllocatorKind::CasaIlpPaper, &ctx)))
             });
             group.bench_function("ilp_tight_linearization", |b| {
-                b.iter(|| {
-                    black_box(
-                        allocate_ilp(&model, spm, Linearization::Tight, &SolverOptions::default())
-                            .expect("solves"),
-                    )
-                })
+                b.iter(|| black_box(allocate(&model, spm, AllocatorKind::CasaIlpTight, &ctx)))
             });
         }
         group.finish();

@@ -28,7 +28,7 @@
 //! comes first, so an orphaned CI server can never outlive its job.
 
 use casa_bench::runner::cli_value;
-use casa_core::flow::FlowConfig;
+use casa_core::flow::{ConfigError, FlowConfig};
 use casa_core::server::{
     AllocService, ParsedRequest, ServiceConfig, SolveJob, SubmitError, WorkloadRequest,
     DEFAULT_MAX_NODES,
@@ -72,6 +72,16 @@ impl WorkloadMemo {
             let (size, _) = casa_bench::experiments::paper_sizes(&w.benchmark);
             CacheConfig::direct_mapped(size, casa_bench::experiments::LINE_SIZE)
         });
+        // The library's own validation: the profiling hierarchy cannot
+        // hold a 0-byte scratchpad.
+        let flow = FlowConfig::builder(cache_cfg, w.capacity, AllocatorKind::CasaBb)
+            .build()
+            .map_err(|e| match e {
+                ConfigError::ZeroSpmSize => {
+                    "capacity must be nonzero for a workload request".to_string()
+                }
+                other => other.to_string(),
+            })?;
         let key = format!(
             "{}:{}:{}:{}:{}:{}:{}",
             w.benchmark,
@@ -92,7 +102,6 @@ impl WorkloadMemo {
             return Ok(Arc::clone(hit));
         }
         let prepared = casa_bench::runner::prepared(spec, w.scale, w.seed);
-        let flow = FlowConfig::new(cache_cfg, w.capacity, AllocatorKind::CasaBb);
         let traces = form_traces(
             &prepared.program,
             &prepared.profile,
@@ -263,4 +272,33 @@ fn main() {
     drop(memo);
     drop(service);
     println!("casa-server: shut down cleanly");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_refuses_zero_capacity() {
+        let memo = WorkloadMemo {
+            cache: Mutex::new(HashMap::new()),
+            obs: Obs::disabled(),
+        };
+        let w = WorkloadRequest {
+            benchmark: "adpcm".to_string(),
+            scale: 1,
+            seed: 42,
+            cache: None,
+            capacity: 0,
+            allocator: AllocatorKind::CasaBb,
+            budget_nodes: None,
+            budget_ms: None,
+            explain: false,
+        };
+        let err = memo.resolve(&w).expect_err("capacity 0 is refused");
+        assert_eq!(
+            error_json(&err),
+            "{\"error\":\"capacity must be nonzero for a workload request\"}"
+        );
+    }
 }

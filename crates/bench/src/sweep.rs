@@ -33,17 +33,17 @@
 
 use crate::experiments::{paper_sizes, LINE_SIZE, LOOP_CACHE_SLOTS};
 use crate::runner::{prepared, PreparedWorkload};
-use casa_core::engine::{AllocOutcome, Budget, TreeRecorder};
+use casa_core::engine::{AllocOutcome, Budget, SearchSink, TreeRecorder};
 use casa_core::flow::{
     run_loop_cache_flow, run_spm_flow, AllocatorKind, FlowConfig, FlowCtx, LoopCacheConfig,
 };
-use casa_core::{explain_json, EnergyModel, ExplainRecorder, Session, SessionRecorder, SolveJob};
+use casa_core::{explain_json, EnergyModel, ExplainRecorder, Session, SolveJob};
 use casa_energy::TechParams;
 use casa_ilp::tree::tree_log_json;
 use casa_mem::CacheConfig;
 use casa_obs::{
-    merge_snapshot, snapshot_to_json, timeseries_json, ArgValue, EventKind, MetricsSnapshot, Obs,
-    TimeSeriesSnapshot, TimeSeriesStore,
+    jnum, json_escape, merge_snapshot, snapshot_to_json, timeseries_json, ArgValue, EventKind,
+    MetricsSnapshot, Obs, TimeSeriesSnapshot, TimeSeriesStore,
 };
 use casa_workloads::mediabench;
 use casa_workloads::spec::BenchmarkSpec;
@@ -690,18 +690,16 @@ fn run_cell(
         ],
     );
     // Sessions only make sense for scratchpad cells — the loop-cache
-    // flow has no allocation solve to record.
-    let recorder = match (session_dir, kind) {
-        (Some(_), CellKind::Spm(_)) => SessionRecorder::enabled(),
-        _ => SessionRecorder::disabled(),
-    };
-    // Tree capture only attaches where a tree search will run; the
-    // recorder's presence changes no allocation decision.
-    let tree = if capture_trees && has_tree_search(kind) {
-        TreeRecorder::from_env()
-    } else {
-        TreeRecorder::disabled()
-    };
+    // flow has no allocation solve to record. Tree capture only
+    // attaches where a tree search will run. Neither changes any
+    // allocation decision.
+    let mut sink = SearchSink::default();
+    if session_dir.is_some() && matches!(kind, CellKind::Spm(_)) {
+        sink = sink.with_log();
+    }
+    if capture_trees && has_tree_search(kind) {
+        sink = sink.with_tree(TreeRecorder::from_env());
+    }
     // Explain applies to every scratchpad cell: exact allocators get
     // LP provenance, heuristics a density/regret account.
     let explain = if capture_explain && matches!(kind, CellKind::Spm(_)) {
@@ -711,8 +709,7 @@ fn run_cell(
     };
     let ctx = FlowCtx::observed(obs)
         .with_budget(budget.clone())
-        .with_session(&recorder)
-        .with_tree(&tree)
+        .with_sink(&sink)
         .with_explain(&explain);
     let (report, cache) = match kind {
         CellKind::Spm(config) => {
@@ -729,7 +726,7 @@ fn run_cell(
     };
     drop(span);
     if let (Some(dir), CellKind::Spm(config)) = (session_dir, kind) {
-        write_cell_session(dir, key, &flavor, config, budget, &report, &recorder);
+        write_cell_session(dir, key, &flavor, config, budget, &report, &sink);
     }
     // B&B/ILP flows have a real node count; knapsack, greedy, the
     // baseline and the loop cache have no tree search to report.
@@ -761,7 +758,7 @@ fn run_cell(
         cell_secs: t.elapsed().as_secs_f64(),
         metrics: obs.snapshot(),
         timeseries: obs.timeseries_snapshot(),
-        tree: tree.take().map(|log| tree_log_json(&log)),
+        tree: sink.take_tree().map(|log| tree_log_json(&log)),
         explain: explain.take().map(|doc| explain_json(&doc)),
     }
 }
@@ -799,7 +796,7 @@ fn write_cell_session(
     config: &FlowConfig,
     budget: &Budget,
     report: &casa_core::flow::FlowReport,
-    recorder: &SessionRecorder,
+    sink: &SearchSink,
 ) {
     let job = SolveJob {
         graph: report.conflict_graph.clone(),
@@ -820,7 +817,7 @@ fn write_cell_session(
         &job,
         &out,
         &model,
-        recorder.take().expect("cell recorder enabled"),
+        sink.take_log().expect("cell log kept"),
         vec![
             ("source".to_string(), "sweep".to_string()),
             ("benchmark".to_string(), key.benchmark.clone()),
@@ -843,30 +840,10 @@ fn write_cell_session(
 // Hand-rolled: the vendored serde stand-in only provides the derive
 // surface, not a serializer, and the determinism contract needs full
 // control over field order anyway. `{}` on f64 prints the shortest
-// round-trip form, which is itself deterministic.
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+// round-trip form, which is itself deterministic. Every string the
+// report escapes is a plain ASCII name (benchmarks, flavors, policies,
+// statuses, phase names, sanitized cell stems), so `json_escape`'s
+// short forms for control characters never fire here.
 
 impl CellResult {
     fn json(&self, with_timings: bool) -> String {
@@ -1565,10 +1542,10 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_escape("plain"), "plain");
+    fn report_names_escape_through_the_shared_escaper() {
+        let stem = cell_stem("adpcm", "spm:CasaBb", 64);
+        assert_eq!(json_escape(&stem), "adpcm-spm_CasaBb-64");
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
         assert_eq!(jnum(1.5), "1.5");
         assert_eq!(jnum(f64::NAN), "null");
     }

@@ -20,47 +20,35 @@
 //! savings is an admissible upper bound — the classic knapsack bound,
 //! here applied to a quadratic objective.
 //!
-//! The search is **anytime**: [`allocate_bb_budgeted`] takes a
-//! [`Budget`] and an optional warm start, always returns its best
-//! incumbent, and reports the proven optimality gap (in energy units)
-//! from the root fractional bound when the budget stops it early.
+//! The search is a depth-first walk of take/skip decisions over the
+//! static density order. It is **anytime**: run through
+//! [`crate::engine::allocate`] with a budget and an optional warm
+//! start, it always returns its best incumbent and, when the budget
+//! stops it early, the proven optimality gap (in energy units): the
+//! static root bound minus the incumbent's savings.
 
 use crate::allocation::Allocation;
 use crate::energy_model::EnergyModel;
+use crate::engine::{AllocOutcome, AllocStatus, SolveCtx};
 use crate::greedy::allocate_greedy;
-use crate::session::SessionRecorder;
-use casa_ilp::engine::{Budget, BudgetKind, CancelToken};
-use casa_ilp::tree::{TreeEvent, TreeEventKind, TreeRecorder};
-use casa_obs::{ArgValue, Obs};
+use casa_ilp::engine::{BudgetKind, CancelToken};
+use casa_ilp::search::{At, Emitter, Point, SearchEvent, SeriesNames};
 use std::time::Instant;
 
-/// Default node allowance when the caller's [`Budget`] has none: deep
+/// Default node allowance when the caller's [`crate::engine::Budget`] has none: deep
 /// enough to close every instance in this repository.
 const DEFAULT_NODE_BUDGET: u64 = 50_000_000;
 
 /// How often (in nodes) the DFS polls wall-clock budgets.
 const CLOCK_POLL_MASK: u64 = 0xFFF;
 
-/// Outcome of a budgeted CASA branch & bound: the incumbent allocation
-/// plus proof quality.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BbOutcome {
-    /// Best allocation found (optimal when `stopped_by` is `None`).
-    pub allocation: Allocation,
-    /// Proven absolute optimality gap in the energy table's units
-    /// (the incumbent's predicted energy is within `gap` of the true
-    /// optimum). `0.0` when the search closed.
-    pub gap: f64,
-    /// Which budget dimension stopped the search, if any.
-    pub stopped_by: Option<BudgetKind>,
-}
-
-impl BbOutcome {
-    /// Whether the search closed (the allocation is proven optimal).
-    pub fn is_optimal(&self) -> bool {
-        self.stopped_by.is_none()
-    }
-}
+/// Where the DFS's events land in its [`casa_obs::Obs`]. Bounds are
+/// static, so the bound series stays empty.
+const DFS_SERIES: SeriesNames = SeriesNames {
+    objective: "savings",
+    incumbent: "bb.incumbent_savings",
+    bound: "bb.bound_savings",
+};
 
 /// Problem data shared by the search, the greedy incumbent, and the
 /// root bound: linear savings, merged pair weights, density order.
@@ -245,116 +233,57 @@ impl SavingsModel {
 }
 
 /// Exactly solve the CASA allocation for a scratchpad of `capacity`
-/// bytes.
-///
-/// Runs in the paper's "< 1 s" regime for every benchmark in this
-/// repository (see `benches/solver.rs`); worst-case exponential like
-/// any exact solver for an NP-complete problem. For bounded-effort
-/// solves use [`allocate_bb_budgeted`].
-pub fn allocate_bb(model: &EnergyModel<'_>, capacity: u32) -> Allocation {
-    allocate_bb_budgeted(
-        model,
-        capacity,
-        &Budget::unlimited(),
-        None,
-        &Obs::disabled(),
-    )
-    .allocation
-}
-
-/// [`allocate_bb`] with observability (unlimited budget).
-pub fn allocate_bb_obs(model: &EnergyModel<'_>, capacity: u32, obs: &Obs) -> Allocation {
-    allocate_bb_budgeted(model, capacity, &Budget::unlimited(), None, obs).allocation
-}
-
-/// Anytime CASA branch & bound: solve within `budget`, optionally
-/// seeded with a `warm_start` scratchpad set (one flag per object;
-/// infeasible or mis-sized warm starts are ignored).
+/// bytes under `ctx` (see [`crate::engine::allocate`]).
 ///
 /// The search keeps a feasible incumbent from t=0 — the better of the
 /// built-in density-greedy fill and the warm start — so budget
 /// exhaustion degrades the proof, never the availability, of an
 /// allocation. A budget-stopped answer is also never worse than
-/// [`allocate_greedy`]'s, which replaces a worse incumbent (and is
-/// logged as the last incumbent) before the gap is taken. Observability: the search runs in a `solve.bb` span
-/// with `core.bb.nodes` / `core.bb.incumbents` counters, `bb.incumbent`
-/// instant events, a `core.bb.gap` gauge, and a
-/// `core.engine.budget.<kind>` counter when a budget dimension fires.
-pub fn allocate_bb_budgeted(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &Obs,
-) -> BbOutcome {
-    allocate_bb_recorded(
-        model,
-        capacity,
-        budget,
-        warm_start,
-        obs,
-        &SessionRecorder::disabled(),
-    )
-}
-
-/// [`allocate_bb_budgeted`] with a [`SessionRecorder`]: the static
-/// branch order, the initial (greedy-vs-warm) incumbent as entry 0,
-/// every DFS incumbent adoption, and the stop disposition land in the
-/// recorder's decision log for session capture and offline replay.
-pub fn allocate_bb_recorded(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-) -> BbOutcome {
-    allocate_bb_traced(
-        model,
-        capacity,
-        budget,
-        warm_start,
-        obs,
-        rec,
-        &TreeRecorder::disabled(),
-    )
-}
-
-/// [`allocate_bb_recorded`] with search-tree telemetry: every DFS node
-/// entry, branch, fractional-bound prune, and incumbent adoption lands
-/// in `tree` as a [`TreeEvent`]. Node id is the DFS visit counter and
-/// depth is the position in the static branch order; bounds are
-/// **savings** (maximization orientation — larger is better), matching
-/// the objective this solver proves against. Capture changes no search
-/// decision: with a node budget the event log is deterministic.
-pub fn allocate_bb_traced(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-    tree: &TreeRecorder,
-) -> BbOutcome {
+/// [`allocate_greedy`]'s, which replaces a worse incumbent before the
+/// gap is taken.
+///
+/// Every decision goes to `ctx.sink` as a search event, in savings
+/// orientation (larger is better): the static order, the seed
+/// incumbent at node 0, per-node open/branch/prune events with the
+/// DFS visit counter as node id and the order position as depth, each
+/// improving incumbent (the greedy adoption included), and the stop.
+/// Capture changes no search decision. The search also runs in a
+/// `solve.bb` span with `core.bb.nodes` / `core.bb.incumbents`
+/// counters, a `core.bb.gap` gauge, and a `core.engine.budget.<kind>`
+/// counter when a budget dimension fires.
+pub(crate) fn solve(model: &EnergyModel<'_>, capacity: u32, ctx: &SolveCtx) -> AllocOutcome {
+    let (budget, obs) = (&ctx.budget, &ctx.obs);
+    let em = ctx.sink.emitter(obs, &DFS_SERIES);
     let sm = SavingsModel::new(model, capacity);
     let n = sm.n;
 
     let mut best_chosen = sm.greedy_chosen(capacity);
     let mut best_sav = sm.exact_savings(&best_chosen);
-    if let Some(ws) = warm_start {
+    if let Some(ws) = &ctx.warm {
         if ws.len() == n && sm.fits(ws, capacity) {
             let sav = sm.exact_savings(ws);
             if sav > best_sav {
-                best_chosen = ws.to_vec();
+                best_chosen.clone_from(ws);
                 best_sav = sav;
             }
         }
     }
-    // The initial incumbent travels as log entry 0 because replay
-    // cannot re-derive it: a server warm hint comes from the solution
-    // cache, not from the request.
-    rec.record_order(sm.order().iter().map(|&i| i as u32));
-    rec.record_incumbent(0, best_sav, best_chosen.clone());
+    // The seed incumbent travels as node 0 because replay cannot
+    // re-derive it: a server warm hint comes from the solution cache,
+    // not from the request.
+    if em.on {
+        let order: Vec<u32> = sm.order.iter().map(|&i| i as u32).collect();
+        em.emit(SearchEvent::Order(&order));
+        em.emit(SearchEvent::Incumbent {
+            at: At {
+                node: 0,
+                depth: 0,
+                bound: f64::NAN,
+                best: best_sav,
+            },
+            point: Point::Flags(&best_chosen),
+        });
+    }
 
     // DFS over `order` positions: at each position decide take/skip.
     // State: current savings (exact), pairs already counted, capacity.
@@ -368,9 +297,7 @@ pub fn allocate_bb_traced(
         stopped: Option<BudgetKind>,
         best_sav: f64,
         best_chosen: Vec<bool>,
-        obs: &'s Obs,
-        rec: &'s SessionRecorder,
-        tree: &'s TreeRecorder,
+        em: Emitter<'s>,
     }
 
     impl Search<'_> {
@@ -404,46 +331,31 @@ pub fn allocate_bb_traced(
                     }
                 }
             }
+            let (node, depth) = (self.nodes, pos as u32);
+            let at = move |best: f64, bound: f64| At {
+                node,
+                depth,
+                bound,
+                best,
+            };
             // Optimistic local bound (savings orientation): only worth
             // computing when the tree is being captured — the search
             // itself re-derives it at the prune check below.
-            let local_bound = if self.tree.is_enabled() {
+            let local_bound = if self.em.nodes {
                 let b = cur_sav + self.sm.fractional_bound(pos, cap_left);
-                self.tree.record(TreeEvent {
-                    kind: TreeEventKind::Open,
-                    node: self.nodes,
-                    depth: pos as u32,
-                    bound: b,
-                    best: self.best_sav,
-                    var: None,
-                });
+                self.em.emit(SearchEvent::Open(at(self.best_sav, b)));
                 b
             } else {
                 f64::NAN
             };
             if cur_sav > self.best_sav + 1e-9 {
                 self.best_sav = cur_sav;
-                self.best_chosen = chosen.clone();
+                self.best_chosen.clone_from(chosen);
                 self.incumbents += 1;
-                self.rec
-                    .record_incumbent(self.nodes, cur_sav, chosen.clone());
-                self.obs.instant(
-                    "bb.incumbent",
-                    vec![
-                        ("savings".into(), ArgValue::F64(cur_sav)),
-                        ("node".into(), ArgValue::U64(self.nodes)),
-                    ],
-                );
-                self.obs
-                    .ts_sample("bb.incumbent_savings", self.nodes, cur_sav);
-                if self.tree.is_enabled() {
-                    self.tree.record(TreeEvent {
-                        kind: TreeEventKind::Incumbent,
-                        node: self.nodes,
-                        depth: pos as u32,
-                        bound: local_bound,
-                        best: cur_sav,
-                        var: None,
+                if self.em.on {
+                    self.em.emit(SearchEvent::Incumbent {
+                        at: at(cur_sav, local_bound),
+                        point: Point::Flags(chosen),
                     });
                 }
             }
@@ -451,27 +363,19 @@ pub fn allocate_bb_traced(
                 return;
             }
             if cur_sav + self.sm.fractional_bound(pos, cap_left) <= self.best_sav + 1e-9 {
-                if self.tree.is_enabled() {
-                    self.tree.record(TreeEvent {
-                        kind: TreeEventKind::PruneBound,
-                        node: self.nodes,
-                        depth: pos as u32,
-                        bound: local_bound,
-                        best: self.best_sav,
-                        var: None,
+                if self.em.nodes {
+                    self.em.emit(SearchEvent::Prune {
+                        at: at(self.best_sav, local_bound),
+                        infeasible: false,
                     });
                 }
                 return; // prune
             }
             let i = self.sm.order[pos];
-            if self.tree.is_enabled() {
-                self.tree.record(TreeEvent {
-                    kind: TreeEventKind::Branch,
-                    node: self.nodes,
-                    depth: pos as u32,
-                    bound: local_bound,
-                    best: self.best_sav,
-                    var: Some(i as u32),
+            if self.em.nodes {
+                self.em.emit(SearchEvent::Branch {
+                    at: at(self.best_sav, local_bound),
+                    var: i as u32,
                 });
             }
             // Branch 1: take i (if it fits).
@@ -521,9 +425,7 @@ pub fn allocate_bb_traced(
         stopped: pre_stopped,
         best_sav,
         best_chosen,
-        obs,
-        rec,
-        tree,
+        em,
     };
     {
         let mut chosen = vec![false; n];
@@ -548,6 +450,7 @@ pub fn allocate_bb_traced(
     let nodes = search.nodes;
     let stopped_by = search.stopped;
     let mut incumbents = search.incumbents;
+    let em = search.em;
     // An anytime answer is never worse than `CasaGreedy`'s: when the
     // budget stops the search short of a proof, the marginal greedy
     // (which re-prices conflicts after every placement, unlike the
@@ -558,14 +461,24 @@ pub fn allocate_bb_traced(
         let greedy = allocate_greedy(model, capacity).on_spm;
         let sav = sm.exact_savings(&greedy);
         if sav > best_sav + 1e-9 {
-            rec.record_incumbent(nodes, sav, greedy.clone());
+            em.emit(SearchEvent::Incumbent {
+                at: At {
+                    node: nodes,
+                    depth: 0,
+                    bound: f64::NAN,
+                    best: sav,
+                },
+                point: Point::Flags(&greedy),
+            });
             incumbents += 1;
             best_sav = sav;
             on_spm = greedy;
         }
     }
-    rec.record_stop(stopped_by.map(BudgetKind::as_str), nodes);
-    tree.set_nodes(nodes);
+    em.emit(SearchEvent::Stop {
+        stopped: stopped_by,
+        nodes,
+    });
     obs.add("core.bb.nodes", nodes);
     obs.add("core.bb.incumbents", incumbents);
 
@@ -582,13 +495,13 @@ pub fn allocate_bb_traced(
     drop(span);
 
     let predicted = model.total_energy(&on_spm);
-    BbOutcome {
+    AllocOutcome {
         allocation: Allocation {
             on_spm,
             predicted_energy: Some(predicted),
             solver_nodes: nodes,
         },
-        gap,
+        status: AllocStatus::proven(stopped_by, gap),
         stopped_by,
     }
 }
@@ -597,11 +510,36 @@ pub fn allocate_bb_traced(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use crate::casa_ilp::{allocate_ilp, Linearization};
     use crate::conflict::ConflictGraph;
+    use crate::engine::{allocate, Budget, SearchSink};
+    use crate::flow::AllocatorKind;
     use casa_energy::EnergyTable;
-    use casa_ilp::SolverOptions;
+    use casa_ilp::tree::{TreeEventKind, TreeRecorder};
     use std::collections::HashMap;
+
+    fn run(m: &EnergyModel<'_>, cap: u32, ctx: &SolveCtx) -> AllocOutcome {
+        allocate(m, cap, AllocatorKind::CasaBb, ctx)
+    }
+
+    fn budgeted(
+        m: &EnergyModel<'_>,
+        cap: u32,
+        budget: Budget,
+        warm: Option<&[bool]>,
+    ) -> AllocOutcome {
+        let ctx = SolveCtx::default()
+            .with_budget(budget)
+            .with_warm(warm.map(<[bool]>::to_vec));
+        run(m, cap, &ctx)
+    }
+
+    fn solve_bb(m: &EnergyModel<'_>, cap: u32) -> Allocation {
+        run(m, cap, &SolveCtx::default()).allocation
+    }
+
+    fn solve_ilp(m: &EnergyModel<'_>, cap: u32) -> Allocation {
+        allocate(m, cap, AllocatorKind::CasaIlpTight, &SolveCtx::default()).allocation
+    }
 
     fn table() -> EnergyTable {
         EnergyTable {
@@ -633,9 +571,8 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         for cap in [0, 64, 128, 192] {
-            let bb = allocate_bb(&m, cap);
-            let ilp =
-                allocate_ilp(&m, cap, Linearization::Tight, &SolverOptions::default()).unwrap();
+            let bb = solve_bb(&m, cap);
+            let ilp = solve_ilp(&m, cap);
             assert!(
                 (bb.predicted_energy.unwrap() - ilp.predicted_energy.unwrap()).abs() < 1e-6,
                 "cap {cap}: bb {:?} vs ilp {:?}",
@@ -668,9 +605,8 @@ mod tests {
             let t = table();
             let m = EnergyModel::new(&g, &t);
             let cap = (next() % 256) as u32;
-            let bb = allocate_bb(&m, cap);
-            let ilp =
-                allocate_ilp(&m, cap, Linearization::Tight, &SolverOptions::default()).unwrap();
+            let bb = solve_bb(&m, cap);
+            let ilp = solve_ilp(&m, cap);
             let (eb, ei) = (bb.predicted_energy.unwrap(), ilp.predicted_energy.unwrap());
             assert!(
                 (eb - ei).abs() < 1e-6 * ei.max(1.0),
@@ -690,7 +626,7 @@ mod tests {
         let g = graph(vec![], vec![], &[]);
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let a = allocate_bb(&m, 128);
+        let a = solve_bb(&m, 128);
         assert!(a.on_spm.is_empty());
         assert_eq!(a.predicted_energy, Some(0.0));
     }
@@ -700,7 +636,7 @@ mod tests {
         let g = graph(vec![100_000], vec![999], &[]);
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let a = allocate_bb(&m, 128);
+        let a = solve_bb(&m, 128);
         assert!(!a.on_spm[0]);
     }
 
@@ -714,7 +650,7 @@ mod tests {
         );
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let a = allocate_bb(&m, 64);
+        let a = solve_bb(&m, 64);
         assert!(a.on_spm[0] || a.on_spm[1]);
         assert!(!a.on_spm[2]);
     }
@@ -728,16 +664,17 @@ mod tests {
         );
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let full = allocate_bb(&m, 128);
-        let out = allocate_bb_budgeted(&m, 128, &Budget::nodes(1), None, &Obs::disabled());
+        let full = solve_bb(&m, 128);
+        let out = budgeted(&m, 128, Budget::nodes(1), None);
         assert_eq!(out.stopped_by, Some(BudgetKind::Nodes));
-        assert!(out.gap.is_finite() && out.gap >= 0.0);
+        let gap = out.status.gap().unwrap();
+        assert!(gap.is_finite() && gap >= 0.0);
         // The incumbent (greedy fill) is feasible and within the gap
         // of the optimum.
         let e_inc = out.allocation.predicted_energy.unwrap();
         let e_opt = full.predicted_energy.unwrap();
         assert!(e_inc >= e_opt - 1e-9);
-        assert!(e_inc - e_opt <= out.gap + 1e-9, "gap does not cover truth");
+        assert!(e_inc - e_opt <= gap + 1e-9, "gap does not cover truth");
     }
 
     #[test]
@@ -755,24 +692,28 @@ mod tests {
         let e_greedy = greedy.predicted_energy.unwrap();
         assert!(e_greedy < fill - 1.0, "instance must favour the greedy");
 
-        let rec = SessionRecorder::enabled();
-        let out = allocate_bb_recorded(&m, 128, &Budget::nodes(1), None, &Obs::disabled(), &rec);
+        let sink = SearchSink::default().with_log();
+        let ctx = SolveCtx::default()
+            .with_budget(Budget::nodes(1))
+            .with_sink(&sink);
+        let out = run(&m, 128, &ctx);
         assert_eq!(out.stopped_by, Some(BudgetKind::Nodes));
         assert_eq!(out.allocation.on_spm, greedy.on_spm);
         assert_eq!(out.allocation.predicted_energy, Some(e_greedy));
         // The gap is re-taken against the adopted answer and still
         // covers the distance to the optimum.
-        let e_opt = allocate_bb(&m, 128).predicted_energy.unwrap();
+        let e_opt = solve_bb(&m, 128).predicted_energy.unwrap();
         let gap_fill = sm.root_bound(128) - sm.exact_savings(&sm.greedy_chosen(128));
-        assert!(out.gap < gap_fill);
-        assert!(e_greedy - e_opt <= out.gap + 1e-9);
+        let gap = out.status.gap().unwrap();
+        assert!(gap < gap_fill);
+        assert!(e_greedy - e_opt <= gap + 1e-9);
         // The session log ends on the adopted answer, as replay checks.
-        let log = rec.take().expect("recording enabled");
+        let log = sink.take_log().expect("recording enabled");
         assert_eq!(log.incumbents.last().unwrap().on_spm, greedy.on_spm);
 
         // Proven optima never consult the greedy.
-        let full = allocate_bb_budgeted(&m, 128, &Budget::unlimited(), None, &Obs::disabled());
-        assert!(full.is_optimal());
+        let full = budgeted(&m, 128, Budget::unlimited(), None);
+        assert!(full.status.is_optimal());
         assert_eq!(full.allocation.predicted_energy, Some(e_opt));
     }
 
@@ -800,12 +741,13 @@ mod tests {
         let mut last_gap = f64::INFINITY;
         let mut budget = 1u64;
         loop {
-            let out = allocate_bb_budgeted(&m, 160, &Budget::nodes(budget), None, &Obs::disabled());
-            assert!(out.gap >= 0.0);
-            assert!(out.gap <= last_gap + 1e-9, "gap grew at budget {budget}");
-            last_gap = out.gap;
-            if out.is_optimal() {
-                assert_eq!(out.gap, 0.0);
+            let out = budgeted(&m, 160, Budget::nodes(budget), None);
+            let gap = out.status.gap().unwrap();
+            assert!(gap >= 0.0);
+            assert!(gap <= last_gap + 1e-9, "gap grew at budget {budget}");
+            last_gap = gap;
+            if out.status.is_optimal() {
+                assert_eq!(gap, 0.0);
                 break;
             }
             budget *= 2;
@@ -825,21 +767,15 @@ mod tests {
         );
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let full = allocate_bb(&m, 128);
-        let out = allocate_bb_budgeted(
-            &m,
-            128,
-            &Budget::nodes(1),
-            Some(&full.on_spm),
-            &Obs::disabled(),
-        );
+        let full = solve_bb(&m, 128);
+        let out = budgeted(&m, 128, Budget::nodes(1), Some(&full.on_spm));
         assert_eq!(
             out.allocation.predicted_energy, full.predicted_energy,
             "optimal warm start must survive a 1-node budget"
         );
         // Oversized warm starts are ignored, not adopted.
         let bad = vec![true; 3];
-        let out2 = allocate_bb_budgeted(&m, 64, &Budget::nodes(1), Some(&bad), &Obs::disabled());
+        let out2 = budgeted(&m, 64, Budget::nodes(1), Some(&bad));
         let used: u32 = (0..g.len())
             .filter(|&i| out2.allocation.on_spm[i])
             .map(|i| g.size_of(i))
@@ -857,20 +793,12 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         let run = || {
-            let tree = TreeRecorder::with_cap(4096);
-            let out = allocate_bb_traced(
-                &m,
-                128,
-                &Budget::unlimited(),
-                None,
-                &Obs::disabled(),
-                &SessionRecorder::disabled(),
-                &tree,
-            );
-            (out, tree.take().unwrap())
+            let sink = SearchSink::default().with_tree(TreeRecorder::with_cap(4096));
+            let out = run(&m, 128, &SolveCtx::default().with_sink(&sink));
+            (out, sink.take_tree().unwrap())
         };
         let (out, log) = run();
-        let plain = allocate_bb(&m, 128);
+        let plain = solve_bb(&m, 128);
         assert_eq!(out.allocation, plain, "capture must not steer the search");
         assert_eq!(log.nodes, out.allocation.solver_nodes);
         let opens = log
@@ -916,15 +844,9 @@ mod tests {
         let m = EnergyModel::new(&g, &t);
         let token = CancelToken::new();
         token.cancel();
-        let out = allocate_bb_budgeted(
-            &m,
-            128,
-            &Budget::unlimited().with_cancel(token),
-            None,
-            &Obs::disabled(),
-        );
+        let out = budgeted(&m, 128, Budget::unlimited().with_cancel(token), None);
         assert_eq!(out.stopped_by, Some(BudgetKind::Cancelled));
         assert!(out.allocation.predicted_energy.is_some());
-        assert!(out.gap.is_finite());
+        assert!(out.status.gap().unwrap().is_finite());
     }
 }

@@ -21,12 +21,13 @@
 //! `l_i` since `l·l = l` for binaries.
 
 use crate::allocation::Allocation;
+use crate::casa_bb::SavingsModel;
 use crate::energy_model::EnergyModel;
-use crate::session::SessionRecorder;
-use casa_ilp::engine::{Budget, BudgetKind, SearchRecorder, SolveRequest};
+use crate::engine::{AllocOutcome, AllocStatus, SolveCtx};
+use crate::greedy::allocate_greedy;
+use casa_ilp::engine::SolveRequest;
 use casa_ilp::model::VarKind;
-use casa_ilp::tree::TreeRecorder;
-use casa_ilp::{ConstraintOp, Model, Sense, SolveError, SolverOptions, Var};
+use casa_ilp::{ConstraintOp, Model, Sense, Var};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -42,8 +43,8 @@ pub enum Linearization {
 
 /// Build the CASA ILP for `model` and a scratchpad of `capacity`
 /// bytes. Returns the ILP plus the `l(x_i)` variables in object
-/// order. Exposed separately from [`allocate_ilp`] so tests and
-/// benches can inspect the formulation.
+/// order. Exposed separately from the solve so tests and benches can
+/// inspect the formulation.
 pub fn build_model(
     model: &EnergyModel<'_>,
     capacity: u32,
@@ -169,191 +170,88 @@ pub fn warm_start_values(
     values
 }
 
-/// Solve the CASA allocation exactly via the generic ILP solver.
-///
-/// # Errors
-///
-/// Propagates solver failures ([`SolveError`]); the formulation itself
-/// is always feasible (everything cached satisfies eq. 17).
-pub fn allocate_ilp(
+/// Solve the CASA allocation exactly via the generic ILP under `ctx`
+/// (see [`crate::engine::allocate`]): warm-started from the better of
+/// the greedy incumbent and the caller's hint, budgeted, and falling
+/// back to that warm start when the engine produces nothing. Model
+/// construction runs under a `solve.ilp.build` span and the search
+/// under `solve.ilp`, with the engine's `ilp.*` counters in
+/// `ctx.obs`. Search events are in the ILP's own orientation: energy
+/// (smaller is better), so tree bounds here are energy lower bounds,
+/// and incumbents reach the decision log as scratchpad sets through
+/// the `l` variables.
+pub(crate) fn solve(
     model: &EnergyModel<'_>,
     capacity: u32,
     lin: Linearization,
-    options: &SolverOptions,
-) -> Result<Allocation, SolveError> {
-    allocate_ilp_obs(model, capacity, lin, options, &casa_obs::Obs::disabled())
-}
-
-/// [`allocate_ilp`] with observability: model construction happens
-/// under a `solve.ilp.build` span, and the branch & bound runs through
-/// the engine ([`SolveRequest::observe`]), so `ilp.bb.nodes` /
-/// `ilp.bb.incumbents` / `ilp.simplex.pivots` counters and
-/// `bb.incumbent` instant events land in `obs`.
-///
-/// # Errors
-///
-/// Propagates solver failures exactly like [`allocate_ilp`].
-pub fn allocate_ilp_obs(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    obs: &casa_obs::Obs,
-) -> Result<Allocation, SolveError> {
-    allocate_ilp_budgeted(
-        model,
-        capacity,
-        lin,
-        options,
-        &Budget::unlimited(),
-        None,
-        obs,
-    )
-    .map(|outcome| outcome.allocation)
-}
-
-/// Outcome of a budgeted CASA ILP solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IlpOutcome {
-    /// Best allocation found within the budget.
-    pub allocation: Allocation,
-    /// Proven absolute optimality gap in energy units (`0.0` when the
-    /// search closed).
-    pub gap: f64,
-    /// Which budget dimension stopped the search, if any.
-    pub stopped_by: Option<BudgetKind>,
-}
-
-/// Anytime CASA ILP: solve within `budget`, optionally warm-started
-/// from a scratchpad set (translated to a full assignment through
-/// [`warm_start_values`]). Budget exhaustion with an incumbent returns
-/// `Ok` with the proven gap; only incumbent-less exhaustion or real
-/// solver trouble is an error.
-///
-/// # Errors
-///
-/// Propagates [`SolveError`] from the engine — see
-/// [`SolveRequest::solve`].
-pub fn allocate_ilp_budgeted(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &casa_obs::Obs,
-) -> Result<IlpOutcome, SolveError> {
-    allocate_ilp_recorded(
-        model,
-        capacity,
-        lin,
-        options,
-        budget,
-        warm_start,
-        obs,
-        &SessionRecorder::disabled(),
-    )
-}
-
-/// [`allocate_ilp_budgeted`] with a [`SessionRecorder`]: the engine's
-/// raw search log (branched variable indices, incumbents as full
-/// assignments, bound improvements) is translated into allocation
-/// terms — incumbent assignments become scratchpad sets through the
-/// `l` variables — and streamed into `rec`, including on error paths
-/// so a failed solve still leaves its partial log behind.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_ilp_recorded(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &casa_obs::Obs,
-    rec: &SessionRecorder,
-) -> Result<IlpOutcome, SolveError> {
-    allocate_ilp_traced(
-        model,
-        capacity,
-        lin,
-        options,
-        budget,
-        warm_start,
-        obs,
-        rec,
-        &TreeRecorder::disabled(),
-    )
-}
-
-/// [`allocate_ilp_recorded`] with search-tree telemetry: the engine's
-/// per-node open/branch/prune/incumbent events stream into `tree`
-/// (see [`casa_ilp::tree`]). Note the orientation difference from the
-/// specialized B&B: the ILP minimizes energy, so tree bounds here are
-/// energy lower bounds (smaller is better).
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_ilp_traced(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    options: &SolverOptions,
-    budget: &Budget,
-    warm_start: Option<&[bool]>,
-    obs: &casa_obs::Obs,
-    rec: &SessionRecorder,
-    tree: &TreeRecorder,
-) -> Result<IlpOutcome, SolveError> {
+    ctx: &SolveCtx,
+) -> AllocOutcome {
+    let obs = &ctx.obs;
+    let mut warm = allocate_greedy(model, capacity);
+    if let Some(hint) = &ctx.warm {
+        let sm = SavingsModel::new(model, capacity);
+        if hint.len() == warm.on_spm.len()
+            && sm.fits(hint, capacity)
+            && sm.exact_savings(hint) > sm.exact_savings(&warm.on_spm)
+        {
+            warm = Allocation {
+                on_spm: hint.clone(),
+                predicted_energy: Some(model.total_energy(hint)),
+                solver_nodes: 0,
+            };
+        }
+    }
     let build_span = obs.span("solve.ilp.build");
     let (ilp, l, pair_vars) = build_model_parts(model, capacity, lin);
     drop(build_span);
     obs.add("ilp.model.vars", ilp.num_vars() as u64);
     obs.add("ilp.model.integer_vars", integer_var_count(&ilp) as u64);
     let solve_span = obs.span("solve.ilp");
-    let srec = if rec.is_enabled() {
-        SearchRecorder::enabled()
-    } else {
-        SearchRecorder::disabled()
-    };
-    let mut request = SolveRequest::new(&ilp)
-        .options(*options)
-        .budget(budget.clone())
+    let sink = ctx
+        .sink
+        .clone()
+        .with_flag_vars(l.iter().map(|v| v.index()).collect());
+    let warm_values = warm_start_values(&ilp, &l, &pair_vars, &warm.on_spm);
+    let result = SolveRequest::new(&ilp)
+        .budget(ctx.budget.clone())
         .observe(obs)
-        .record(&srec)
-        .trace_tree(tree);
-    let warm_values;
-    if let Some(ws) = warm_start {
-        if ws.len() == l.len() {
-            warm_values = warm_start_values(&ilp, &l, &pair_vars, ws);
-            request = request.warm_start(&warm_values);
-        }
-    }
-    let result = request.solve();
-    if let Some(log) = srec.take() {
-        rec.record_order(log.branched);
-        for (node, min_obj, values) in log.incumbents {
-            // `l[i] = 0` means object i moves to the scratchpad.
-            let on_spm: Vec<bool> = l.iter().map(|&v| values[v.index()] < 0.5).collect();
-            rec.record_incumbent(node, min_obj, on_spm);
-        }
-        for (node, bound) in log.bounds {
-            rec.record_bound(node, bound);
-        }
-        rec.record_stop(log.stop.map(|k| k.as_str()), log.nodes);
-    }
-    let out = result?;
+        .sink(&sink)
+        .warm_start(&warm_values)
+        .solve();
     drop(solve_span);
-    let on_spm: Vec<bool> = l.iter().map(|&v| !out.solution.bool_value(v)).collect();
-    // Report the model-evaluated energy rather than the raw objective
-    // so Paper/Tight report identically even under LP round-off.
-    let predicted = model.total_energy(&on_spm);
-    Ok(IlpOutcome {
-        allocation: Allocation {
-            on_spm,
-            predicted_energy: Some(predicted),
-            solver_nodes: out.solution.nodes(),
-        },
-        gap: out.gap(),
-        stopped_by: out.stopped_by,
-    })
+    match result {
+        Ok(out) => {
+            let on_spm: Vec<bool> = l.iter().map(|&v| !out.solution.bool_value(v)).collect();
+            // Report the model-evaluated energy rather than the raw
+            // objective so Paper/Tight report identically even under
+            // LP round-off.
+            let predicted = model.total_energy(&on_spm);
+            AllocOutcome {
+                allocation: Allocation {
+                    on_spm,
+                    predicted_energy: Some(predicted),
+                    solver_nodes: out.solution.nodes(),
+                },
+                status: AllocStatus::proven(out.stopped_by, out.gap()),
+                stopped_by: out.stopped_by,
+            }
+        }
+        Err(e) => {
+            obs.add("core.engine.fallback", 1);
+            // Degradation is exactly what the flight recorder exists
+            // for: annotate the ring and trigger an automatic dump if
+            // a sink is configured, so the post-mortem shows what led
+            // up to the substitution.
+            obs.note_degradation("core.engine.fallback", &e.to_string());
+            AllocOutcome {
+                allocation: warm,
+                status: AllocStatus::Fallback {
+                    reason: e.to_string(),
+                },
+                stopped_by: None,
+            }
+        }
+    }
 }
 
 /// Count the integer variables of a formulation (ablation metric).
@@ -367,8 +265,20 @@ pub fn integer_var_count(ilp: &Model) -> usize {
 mod tests {
     use super::*;
     use crate::conflict::ConflictGraph;
+    use crate::engine::allocate;
+    use crate::flow::AllocatorKind;
     use casa_energy::EnergyTable;
     use std::collections::HashMap;
+
+    fn solve_ilp(m: &EnergyModel<'_>, cap: u32, lin: Linearization) -> Allocation {
+        let kind = match lin {
+            Linearization::Paper => AllocatorKind::CasaIlpPaper,
+            Linearization::Tight => AllocatorKind::CasaIlpTight,
+        };
+        let out = allocate(m, cap, kind, &SolveCtx::default());
+        assert!(out.status.is_optimal(), "{lin:?}: {:?}", out.status);
+        out.allocation
+    }
 
     fn table() -> EnergyTable {
         EnergyTable {
@@ -398,7 +308,7 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         for lin in [Linearization::Paper, Linearization::Tight] {
-            let a = allocate_ilp(&m, 64, lin, &SolverOptions::default()).unwrap();
+            let a = solve_ilp(&m, 64, lin);
             assert_eq!(a.spm_count(), 1, "{lin:?}");
             assert!(
                 a.on_spm[0] || a.on_spm[1],
@@ -416,8 +326,8 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         for cap in [0u32, 64, 128, 192] {
-            let p = allocate_ilp(&m, cap, Linearization::Paper, &SolverOptions::default()).unwrap();
-            let q = allocate_ilp(&m, cap, Linearization::Tight, &SolverOptions::default()).unwrap();
+            let p = solve_ilp(&m, cap, Linearization::Paper);
+            let q = solve_ilp(&m, cap, Linearization::Tight);
             let ep = p.predicted_energy.unwrap();
             let eq = q.predicted_energy.unwrap();
             assert!(
@@ -432,7 +342,7 @@ mod tests {
         let g = thrash_graph();
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let a = allocate_ilp(&m, 0, Linearization::Tight, &SolverOptions::default()).unwrap();
+        let a = solve_ilp(&m, 0, Linearization::Tight);
         assert_eq!(a.spm_count(), 0);
         let em = EnergyModel::new(&g, &t);
         assert!((a.predicted_energy.unwrap() - em.baseline_energy()).abs() < 1e-6);
@@ -443,7 +353,7 @@ mod tests {
         let g = thrash_graph();
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let a = allocate_ilp(&m, 10_000, Linearization::Tight, &SolverOptions::default()).unwrap();
+        let a = solve_ilp(&m, 10_000, Linearization::Tight);
         // All three objects have positive fetch counts: all on SPM.
         assert_eq!(a.spm_count(), 3);
     }
@@ -454,7 +364,7 @@ mod tests {
         let t = table();
         let m = EnergyModel::new(&g, &t);
         for cap in [0u32, 63, 64, 127, 128, 191, 192] {
-            let a = allocate_ilp(&m, cap, Linearization::Tight, &SolverOptions::default()).unwrap();
+            let a = solve_ilp(&m, cap, Linearization::Tight);
             let used: u32 = (0..g.len())
                 .filter(|&i| a.on_spm[i])
                 .map(|i| g.size_of(i))
@@ -484,7 +394,7 @@ mod tests {
         let (ilp, _) = build_model(&m, 32, Linearization::Paper);
         // No L variable should exist: 1 binary var only.
         assert_eq!(ilp.num_vars(), 1);
-        let a = allocate_ilp(&m, 32, Linearization::Paper, &SolverOptions::default()).unwrap();
+        let a = solve_ilp(&m, 32, Linearization::Paper);
         assert!(a.on_spm[0], "self-thrashing object belongs on the SPM");
     }
 }

@@ -14,9 +14,10 @@
 //! share one geometry, so a single [`EnergyTable`] covers both sides.
 
 use crate::allocation::Allocation;
-use crate::casa_bb::allocate_bb;
 use crate::conflict::ConflictGraph;
 use crate::energy_model::EnergyModel;
+use crate::engine::{allocate, SolveCtx};
+use crate::flow::AllocatorKind;
 use crate::report::EnergyBreakdown;
 use casa_energy::{EnergyTable, TechParams};
 use casa_ir::{Profile, Program};
@@ -142,7 +143,13 @@ pub fn run_joint_flow(
     let (code_on_spm, data_on_spm, predicted) = if allocate_data {
         let union = union_graph(&code_graph, &data_graph);
         let model = EnergyModel::new(&union, &table);
-        let a: Allocation = allocate_bb(&model, spm_size);
+        let a: Allocation = allocate(
+            &model,
+            spm_size,
+            AllocatorKind::CasaBb,
+            &SolveCtx::default(),
+        )
+        .allocation;
         (
             a.on_spm[..nc].to_vec(),
             a.on_spm[nc..].to_vec(),
@@ -150,7 +157,13 @@ pub fn run_joint_flow(
         )
     } else {
         let model = EnergyModel::new(&code_graph, &table);
-        let a = allocate_bb(&model, spm_size);
+        let a = allocate(
+            &model,
+            spm_size,
+            AllocatorKind::CasaBb,
+            &SolveCtx::default(),
+        )
+        .allocation;
         let data_model = EnergyModel::new(&data_graph, &table);
         let predicted = a.predicted_energy.unwrap_or(0.0) + data_model.baseline_energy();
         (a.on_spm, vec![false; data_sizes.len()], predicted)

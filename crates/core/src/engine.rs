@@ -16,20 +16,24 @@
 //! but a bound certifies the reported gap; `Fallback` means the
 //! requested solver produced nothing and a substitute answered
 //! instead, so no gap is claimed.
+//!
+//! Everything ambient to one solve — budget, warm start, [`Obs`], and
+//! the [`SearchSink`] that session capture and tree telemetry read —
+//! travels in one [`SolveCtx`], so [`allocate`] is the only solve
+//! entry point ([`allocate_budgeted`] is its budget-and-`Obs`
+//! shorthand).
 
 use crate::allocation::Allocation;
-use crate::casa_bb::allocate_bb_traced;
 use crate::casa_bb::SavingsModel;
-use crate::casa_ilp::{allocate_ilp_traced, Linearization};
+use crate::casa_ilp::Linearization;
 use crate::energy_model::EnergyModel;
 use crate::flow::AllocatorKind;
 use crate::greedy::allocate_greedy;
-use crate::session::SessionRecorder;
 use crate::steinke::allocate_steinke;
-use casa_ilp::SolverOptions;
 use casa_obs::Obs;
 
 pub use casa_ilp::engine::{Budget, BudgetKind, CancelToken};
+pub use casa_ilp::search::SearchSink;
 pub use casa_ilp::tree::TreeRecorder;
 
 /// Numerical slack below which a proven gap counts as closed.
@@ -84,9 +88,19 @@ impl AllocStatus {
     pub fn is_optimal(&self) -> bool {
         matches!(self, AllocStatus::Optimal)
     }
+
+    /// `Optimal` when the search ran to completion with a closed gap,
+    /// `Feasible { gap }` otherwise.
+    pub(crate) fn proven(stopped_by: Option<BudgetKind>, gap: f64) -> Self {
+        if stopped_by.is_none() && gap <= GAP_EPS {
+            AllocStatus::Optimal
+        } else {
+            AllocStatus::Feasible { gap }
+        }
+    }
 }
 
-/// What [`allocate_budgeted`] returns: always an allocation, plus the
+/// What [`allocate`] returns: always an allocation, plus the
 /// evidence for how good it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocOutcome {
@@ -99,7 +113,7 @@ pub struct AllocOutcome {
 }
 
 impl AllocOutcome {
-    fn optimal(allocation: Allocation) -> Self {
+    pub(crate) fn optimal(allocation: Allocation) -> Self {
         AllocOutcome {
             allocation,
             status: AllocStatus::Optimal,
@@ -108,14 +122,60 @@ impl AllocOutcome {
     }
 }
 
-/// Run `kind` on `model` under `budget`, degrading gracefully instead
-/// of failing.
-///
-/// The CASA ILP variants are warm-started from the greedy incumbent,
-/// so a feasible answer exists from the first node; the specialized
-/// B&B seeds its own greedy incumbent internally. Heuristic and
-/// baseline allocators ignore the budget (they are effectively
-/// instantaneous) and report completion-sense status.
+/// Everything ambient to one solve. The default context runs an
+/// unlimited, cold, silent solve.
+#[derive(Debug, Clone, Default)]
+pub struct SolveCtx {
+    /// Solver budget; [`Budget::unlimited`] runs to optimality.
+    pub budget: Budget,
+    /// Advisory warm start, one flag per object: adopted only when it
+    /// fits the capacity and beats the solver's own greedy incumbent,
+    /// so a stale or infeasible hint can never make the answer worse.
+    /// This is the solution cache's seeding hook: a cached optimum for
+    /// a *capacity-adjacent* request tightens pruning from node zero.
+    /// Allocators without warm-start support ignore it.
+    pub warm: Option<Vec<bool>>,
+    /// Observability sink: spans, counters, and the search's
+    /// incumbent instants and time series.
+    pub obs: Obs,
+    /// Where the exact allocators' search events go (decision log,
+    /// tree ring). Heuristic allocators have no search and emit
+    /// nothing.
+    pub sink: SearchSink,
+}
+
+impl SolveCtx {
+    /// An instrumented context: `obs`, unlimited budget.
+    pub fn observed(obs: &Obs) -> Self {
+        SolveCtx {
+            obs: obs.clone(),
+            ..SolveCtx::default()
+        }
+    }
+
+    /// Replace the budget.
+    #[must_use]
+    pub fn with_budget(mut self, budget: Budget) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Replace the warm start.
+    #[must_use]
+    pub fn with_warm(mut self, warm: Option<Vec<bool>>) -> Self {
+        self.warm = warm;
+        self
+    }
+
+    /// Replace the search sink (clones share its log and ring).
+    #[must_use]
+    pub fn with_sink(mut self, sink: &SearchSink) -> Self {
+        self.sink = sink.clone();
+        self
+    }
+}
+
+/// [`allocate`] under `budget` and `obs`, cold and without capture.
 pub fn allocate_budgeted(
     model: &EnergyModel<'_>,
     capacity: u32,
@@ -123,79 +183,29 @@ pub fn allocate_budgeted(
     budget: &Budget,
     obs: &Obs,
 ) -> AllocOutcome {
-    allocate_budgeted_warm(model, capacity, kind, budget, None, obs)
+    allocate(
+        model,
+        capacity,
+        kind,
+        &SolveCtx::observed(obs).with_budget(budget.clone()),
+    )
 }
 
-/// [`allocate_budgeted`] with an externally supplied warm-start
-/// allocation (one flag per object). The warm start is advisory: it is
-/// adopted only when it fits `capacity` and beats the solver's own
-/// greedy incumbent, so a stale or infeasible hint can never make the
-/// answer worse. Allocators without warm-start support ignore it.
+/// Run `kind` on `model` under `ctx`, degrading gracefully instead of
+/// failing.
 ///
-/// This is the solution cache's seeding hook: a cached optimum for a
-/// *capacity-adjacent* request becomes the incumbent, which tightens
-/// pruning from node zero and guarantees the degraded answer is at
-/// least as good as the hint.
-pub fn allocate_budgeted_warm(
+/// The specialized B&B seeds its own greedy incumbent; the CASA ILP
+/// variants are warm-started from it, so a feasible answer exists from
+/// the first node. Heuristic and baseline allocators ignore the budget
+/// (they are effectively instantaneous) and report completion-sense
+/// status.
+pub fn allocate(
     model: &EnergyModel<'_>,
     capacity: u32,
     kind: AllocatorKind,
-    budget: &Budget,
-    warm: Option<&[bool]>,
-    obs: &Obs,
+    ctx: &SolveCtx,
 ) -> AllocOutcome {
-    allocate_recorded(
-        model,
-        capacity,
-        kind,
-        budget,
-        warm,
-        obs,
-        &SessionRecorder::disabled(),
-    )
-}
-
-/// [`allocate_budgeted_warm`] with a [`SessionRecorder`]: the exact
-/// allocators (specialized B&B and the ILP variants) stream their
-/// decision log — branch order, incumbents, bound updates, stop
-/// disposition — into `rec` for session capture and offline replay.
-/// Heuristic allocators record nothing; replay re-executes them.
-pub fn allocate_recorded(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    kind: AllocatorKind,
-    budget: &Budget,
-    warm: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-) -> AllocOutcome {
-    allocate_traced(
-        model,
-        capacity,
-        kind,
-        budget,
-        warm,
-        obs,
-        rec,
-        &TreeRecorder::disabled(),
-    )
-}
-
-/// [`allocate_recorded`] with search-tree telemetry: the exact
-/// allocators (specialized B&B and the ILP variants) additionally
-/// stream per-node [`casa_ilp::tree::TreeEvent`]s into `tree`.
-/// Heuristic allocators have no search tree and record nothing there.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_traced(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    kind: AllocatorKind,
-    budget: &Budget,
-    warm: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-    tree: &TreeRecorder,
-) -> AllocOutcome {
+    let obs = &ctx.obs;
     // Spans nest per-thread, so when the allocation service opens a
     // `server.request` span on its worker, this span (and the B&B /
     // ILP spans beneath it) become children of that request — which is
@@ -214,39 +224,13 @@ pub fn allocate_traced(
         ],
     );
     let outcome = match kind {
-        AllocatorKind::CasaBb => {
-            let out = allocate_bb_traced(model, capacity, budget, warm, obs, rec, tree);
-            let status = if out.is_optimal() {
-                AllocStatus::Optimal
-            } else {
-                AllocStatus::Feasible { gap: out.gap }
-            };
-            AllocOutcome {
-                allocation: out.allocation,
-                status,
-                stopped_by: out.stopped_by,
-            }
+        AllocatorKind::CasaBb => crate::casa_bb::solve(model, capacity, ctx),
+        AllocatorKind::CasaIlpPaper => {
+            crate::casa_ilp::solve(model, capacity, Linearization::Paper, ctx)
         }
-        AllocatorKind::CasaIlpPaper => ilp_rung(
-            model,
-            capacity,
-            Linearization::Paper,
-            budget,
-            warm,
-            obs,
-            rec,
-            tree,
-        ),
-        AllocatorKind::CasaIlpTight => ilp_rung(
-            model,
-            capacity,
-            Linearization::Tight,
-            budget,
-            warm,
-            obs,
-            rec,
-            tree,
-        ),
+        AllocatorKind::CasaIlpTight => {
+            crate::casa_ilp::solve(model, capacity, Linearization::Tight, ctx)
+        }
         AllocatorKind::CasaGreedy => {
             // The greedy answer is certified against the fractional
             // knapsack bound: a zero gap proves it optimal, otherwise
@@ -256,14 +240,9 @@ pub fn allocate_traced(
             let sm = SavingsModel::new(model, capacity);
             let achieved = sm.exact_savings(&allocation.on_spm);
             let gap = (sm.root_bound(capacity) - achieved).max(0.0);
-            let status = if gap <= GAP_EPS {
-                AllocStatus::Optimal
-            } else {
-                AllocStatus::Feasible { gap }
-            };
             AllocOutcome {
                 allocation,
-                status,
+                status: AllocStatus::proven(None, gap),
                 stopped_by: None,
             }
         }
@@ -287,75 +266,6 @@ pub fn allocate_traced(
         }
     }
     outcome
-}
-
-/// One CASA-ILP rung of the ladder: warm start from the better of the
-/// greedy incumbent and the caller's hint, budgeted engine solve,
-/// greedy fallback on failure.
-#[allow(clippy::too_many_arguments)]
-fn ilp_rung(
-    model: &EnergyModel<'_>,
-    capacity: u32,
-    lin: Linearization,
-    budget: &Budget,
-    hint: Option<&[bool]>,
-    obs: &Obs,
-    rec: &SessionRecorder,
-    tree: &TreeRecorder,
-) -> AllocOutcome {
-    let mut warm = allocate_greedy(model, capacity);
-    if let Some(hint) = hint {
-        let sm = SavingsModel::new(model, capacity);
-        if hint.len() == warm.on_spm.len()
-            && sm.fits(hint, capacity)
-            && sm.exact_savings(hint) > sm.exact_savings(&warm.on_spm)
-        {
-            warm = crate::allocation::Allocation {
-                on_spm: hint.to_vec(),
-                predicted_energy: Some(model.total_energy(hint)),
-                solver_nodes: 0,
-            };
-        }
-    }
-    match allocate_ilp_traced(
-        model,
-        capacity,
-        lin,
-        &SolverOptions::default(),
-        budget,
-        Some(&warm.on_spm),
-        obs,
-        rec,
-        tree,
-    ) {
-        Ok(out) => {
-            let status = if out.stopped_by.is_none() && out.gap <= GAP_EPS {
-                AllocStatus::Optimal
-            } else {
-                AllocStatus::Feasible { gap: out.gap }
-            };
-            AllocOutcome {
-                allocation: out.allocation,
-                status,
-                stopped_by: out.stopped_by,
-            }
-        }
-        Err(e) => {
-            obs.add("core.engine.fallback", 1);
-            // Degradation is exactly what the flight recorder exists
-            // for: annotate the ring and trigger an automatic dump if
-            // a sink is configured, so the post-mortem shows what led
-            // up to the substitution.
-            obs.note_degradation("core.engine.fallback", &e.to_string());
-            AllocOutcome {
-                allocation: warm,
-                status: AllocStatus::Fallback {
-                    reason: e.to_string(),
-                },
-                stopped_by: None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -496,13 +406,13 @@ mod tests {
             AllocatorKind::CasaIlpPaper,
             AllocatorKind::CasaIlpTight,
         ] {
-            let warm = allocate_budgeted_warm(
+            let warm = allocate(
                 &model,
                 32,
                 kind,
-                &Budget::nodes(1),
-                Some(&opt.allocation.on_spm),
-                &Obs::disabled(),
+                &SolveCtx::default()
+                    .with_budget(Budget::nodes(1))
+                    .with_warm(Some(opt.allocation.on_spm.clone())),
             );
             let e_warm = model.total_energy(&warm.allocation.on_spm);
             let e_opt = model.total_energy(&opt.allocation.on_spm);
@@ -511,13 +421,11 @@ mod tests {
         // An infeasible hint (everything on SPM) is ignored, not
         // adopted: the answer still fits.
         let bogus = vec![true; g.len()];
-        let out = allocate_budgeted_warm(
+        let out = allocate(
             &model,
             32,
             AllocatorKind::CasaBb,
-            &Budget::unlimited(),
-            Some(&bogus),
-            &Obs::disabled(),
+            &SolveCtx::default().with_warm(Some(bogus)),
         );
         let used: u32 = (0..g.len())
             .filter(|&i| out.allocation.on_spm[i])
@@ -525,6 +433,77 @@ mod tests {
             .sum();
         assert!(used <= 32);
         assert!(out.status.is_optimal());
+    }
+
+    /// Incumbents as `(node, objective bits)` in each projection.
+    type Seq = Vec<(u64, u64)>;
+
+    fn projections(
+        model: &EnergyModel<'_>,
+        cap: u32,
+        kind: AllocatorKind,
+        budget: Budget,
+    ) -> [Seq; 3] {
+        let sink = SearchSink::default()
+            .with_log()
+            .with_tree(TreeRecorder::with_cap(1 << 16));
+        let obs = Obs::enabled();
+        let ctx = SolveCtx::observed(&obs)
+            .with_budget(budget)
+            .with_sink(&sink);
+        let out = allocate(model, cap, kind, &ctx);
+        let log = sink.take_log().expect("log kept");
+        assert_eq!(
+            log.incumbents.last().map(|i| &i.on_spm),
+            Some(&out.allocation.on_spm),
+            "{kind:?}: the last incumbent is the answer"
+        );
+        let tree = sink.take_tree().expect("tree kept");
+        assert_eq!(tree.dropped, 0);
+        let series = match kind {
+            AllocatorKind::CasaBb => "bb.incumbent_savings",
+            _ => "ilp.bb.incumbent",
+        };
+        let ts = obs.timeseries_snapshot();
+        [
+            log.incumbents
+                .iter()
+                .map(|i| (i.node, i.objective_bits))
+                .collect(),
+            tree.events
+                .iter()
+                .filter(|e| e.kind == casa_ilp::tree::TreeEventKind::Incumbent)
+                .map(|e| (e.node, e.best.to_bits()))
+                .collect(),
+            ts.series[series]
+                .iter()
+                .map(|&(t, v)| (t, v.to_bits()))
+                .collect(),
+        ]
+    }
+
+    #[test]
+    fn every_projection_sees_the_same_incumbents() {
+        let g = graph();
+        let t = table();
+        let model = EnergyModel::new(&g, &t);
+        for kind in [AllocatorKind::CasaBb, AllocatorKind::CasaIlpTight] {
+            let [log, tree, ts] = projections(&model, 32, kind, Budget::unlimited());
+            assert!(!log.is_empty(), "{kind:?}");
+            assert_eq!(log, tree, "{kind:?}: log vs tree");
+            assert_eq!(log, ts, "{kind:?}: log vs time series");
+        }
+        // A node-budget stop where CasaGreedy's answer beats the
+        // density fill: the adoption reaches every projection.
+        let mut edges = HashMap::new();
+        edges.insert((0, 1), 50);
+        let g = ConflictGraph::from_parts(vec![100, 100, 3000], vec![64, 64, 64], edges);
+        let t = EnergyTable::build(1024, 16, 1, 128, None, &TechParams::default());
+        let model = EnergyModel::new(&g, &t);
+        let [log, tree, ts] = projections(&model, 128, AllocatorKind::CasaBb, Budget::nodes(1));
+        assert!(log.len() >= 2, "greedy adoption logged: {log:?}");
+        assert_eq!(log, tree, "log vs tree");
+        assert_eq!(log, ts, "log vs time series");
     }
 
     #[test]

@@ -23,14 +23,14 @@
 //! [`EXPLAIN_SCHEMA`] rejected, truncation a clean error.
 
 use crate::allocation::Allocation;
-use crate::casa_bb::{allocate_bb_budgeted, SavingsModel};
+use crate::casa_bb::SavingsModel;
 use crate::casa_ilp::{build_model_parts, Linearization};
 use crate::energy_model::EnergyModel;
+use crate::engine::{allocate, Budget, SolveCtx};
 use crate::flow::AllocatorKind;
 use crate::server::allocator_tag;
-use casa_ilp::engine::Budget;
 use casa_ilp::simplex::{solve_lp, LpResult};
-use casa_obs::{jnum, json_escape, Obs};
+use casa_obs::{jnum, json_escape};
 use serde::json::Value;
 use std::error::Error;
 use std::fmt;
@@ -174,7 +174,7 @@ impl fmt::Display for ExplainError {
 impl Error for ExplainError {}
 
 /// Recorder for an [`ExplainDoc`], following the repository's recorder
-/// pattern ([`casa_obs::Obs`], `TreeRecorder`, `SessionRecorder`):
+/// pattern ([`casa_obs::Obs`], `TreeRecorder`):
 /// cheap to clone, a no-op unless enabled, clones share the slot.
 #[derive(Debug, Clone, Default)]
 pub struct ExplainRecorder(Option<Arc<Mutex<Option<ExplainDoc>>>>);
@@ -370,13 +370,10 @@ pub fn explain_allocation(
             } else {
                 capacity.saturating_add(delta)
             };
-            let out = allocate_bb_budgeted(
-                model,
-                probe_cap,
-                &Budget::nodes(PROBE_NODE_BUDGET),
-                Some(&allocation.on_spm),
-                &Obs::disabled(),
-            );
+            let ctx = SolveCtx::default()
+                .with_budget(Budget::nodes(PROBE_NODE_BUDGET))
+                .with_warm(Some(allocation.on_spm.clone()));
+            let out = allocate(model, probe_cap, AllocatorKind::CasaBb, &ctx);
             let flipped: Vec<usize> = (0..n)
                 .filter(|&j| out.allocation.on_spm[j] != allocation.on_spm[j])
                 .collect();
@@ -677,6 +674,7 @@ mod tests {
     use crate::conflict::ConflictGraph;
     use crate::engine::allocate_budgeted;
     use casa_energy::EnergyTable;
+    use casa_obs::Obs;
     use std::collections::HashMap;
 
     fn table() -> EnergyTable {

@@ -11,20 +11,18 @@
 //! block sequence, so allocators are compared on identical executions.
 //!
 //! The canonical entry points take a [`FlowCtx`] bundling everything
-//! ambient to a run — observability sink, solver [`Budget`], the
-//! simulator recorder choice, and an optional [`SessionRecorder`] for
-//! record/replay — so one signature serves the silent, the
-//! instrumented, the budgeted, and the recorded cases. (The former
-//! `*_obs` twins, deprecated for one release, are gone.)
+//! ambient to a run — the allocator's [`SolveCtx`] (observability,
+//! solver [`Budget`], search-event sink) and an optional explain
+//! recorder — so one signature serves the silent, the instrumented,
+//! the budgeted, and the recorded cases.
 
 use crate::allocation::Allocation;
 use crate::conflict::ConflictGraph;
 use crate::energy_model::EnergyModel;
-use crate::engine::{allocate_traced, AllocStatus, Budget, BudgetKind, TreeRecorder};
+use crate::engine::{allocate, AllocStatus, Budget, BudgetKind, SearchSink, SolveCtx};
 use crate::explain::{explain_allocation, ExplainRecorder};
 use crate::report::EnergyBreakdown;
 use crate::ross::{allocate_loop_cache, LoopCacheAssignment};
-use crate::session::SessionRecorder;
 use casa_energy::{EnergyTable, TechParams};
 use casa_ilp::SolveError;
 use casa_ir::{Profile, Program};
@@ -225,40 +223,17 @@ impl LoopCacheConfig {
     }
 }
 
-/// Which recorder instruments the **final** simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecorderKind {
-    /// Per-set statistics when the context's [`Obs`] is enabled, the
-    /// allocation-free path otherwise (the pre-`FlowCtx` behaviour).
-    #[default]
-    Auto,
-    /// Never record, even under an enabled [`Obs`].
-    Null,
-    /// Always run the [`SetStatsRecorder`] (its export is still a
-    /// no-op under a disabled [`Obs`]).
-    SetStats,
-}
-
-/// Everything ambient to one flow run: where telemetry goes, how much
-/// solver effort is allowed, and how the final simulation is recorded.
+/// Everything ambient to one flow run: the allocator's solve context
+/// (whose [`Obs`] also instruments every other phase) and the explain
+/// recorder. The final simulation records per-set statistics exactly
+/// when that [`Obs`] is enabled.
 ///
 /// `FlowCtx::default()` reproduces the historical silent behaviour:
-/// disabled observability, unlimited budget, auto recorder.
+/// disabled observability, unlimited budget, nothing captured.
 #[derive(Debug, Clone, Default)]
 pub struct FlowCtx {
-    /// Observability sink (cheap to clone; disabled handles are
-    /// no-ops).
-    pub obs: Obs,
-    /// Solver budget; [`Budget::unlimited`] runs to optimality.
-    pub budget: Budget,
-    /// Recorder for the final simulation.
-    pub recorder: RecorderKind,
-    /// Session recorder for the allocator's decision log; the default
-    /// disabled recorder costs nothing.
-    pub session: SessionRecorder,
-    /// Search-tree recorder for the exact allocators; the default
-    /// disabled recorder costs nothing.
-    pub tree: TreeRecorder,
+    /// Budget, observability and search sink for the allocator.
+    pub solve: SolveCtx,
     /// Explain recorder: when enabled, the flow assembles a
     /// decision-provenance document after the solve phase. A pure
     /// output channel — it never alters the allocation.
@@ -266,48 +241,30 @@ pub struct FlowCtx {
 }
 
 impl FlowCtx {
-    /// Instrumented context: `obs`, unlimited budget, auto recorder.
+    /// Instrumented context: `obs`, unlimited budget.
     pub fn observed(obs: &Obs) -> Self {
         FlowCtx {
-            obs: obs.clone(),
+            solve: SolveCtx::observed(obs),
             ..FlowCtx::default()
         }
     }
 
-    /// Budgeted context: disabled observability, `budget`, auto
-    /// recorder.
+    /// Budgeted context: disabled observability, `budget`.
     pub fn budgeted(budget: Budget) -> Self {
-        FlowCtx {
-            budget,
-            ..FlowCtx::default()
-        }
+        FlowCtx::default().with_budget(budget)
     }
 
     /// Replace the budget.
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.solve.budget = budget;
         self
     }
 
-    /// Replace the recorder choice.
+    /// Attach a search-event sink (clones share its log and ring).
     #[must_use]
-    pub fn with_recorder(mut self, recorder: RecorderKind) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attach a session recorder (clones share the same log).
-    #[must_use]
-    pub fn with_session(mut self, session: &SessionRecorder) -> Self {
-        self.session = session.clone();
-        self
-    }
-
-    /// Attach a search-tree recorder (clones share the same ring).
-    #[must_use]
-    pub fn with_tree(mut self, tree: &TreeRecorder) -> Self {
-        self.tree = tree.clone();
+    pub fn with_sink(mut self, sink: &SearchSink) -> Self {
+        self.solve.sink = sink.clone();
         self
     }
 
@@ -413,7 +370,7 @@ pub fn run_spm_flow(
     config: &FlowConfig,
     ctx: &FlowCtx,
 ) -> Result<FlowReport, FlowError> {
-    let obs = &ctx.obs;
+    let obs = &ctx.solve.obs;
     let line = config.cache.line_size;
     let trace_cap = config.effective_trace_cap();
     // Phase-completion samples on a logical clock (the fig. 3 phase
@@ -448,16 +405,7 @@ pub fn run_spm_flow(
 
     let span = obs.span("solve");
     let started = std::time::Instant::now();
-    let outcome = allocate_traced(
-        &model,
-        config.spm_size,
-        config.allocator,
-        &ctx.budget,
-        None,
-        obs,
-        &ctx.session,
-        &ctx.tree,
-    );
+    let outcome = allocate(&model, config.spm_size, config.allocator, &ctx.solve);
     let solver_time = started.elapsed();
     let allocation = outcome.allocation;
     obs.add("solver.nodes", allocation.solver_nodes);
@@ -488,7 +436,7 @@ pub fn run_spm_flow(
     );
     drop(span);
     let span = obs.span("simulate");
-    let final_sim = run_final_sim(program, &traces, &layout, exec, &prof_cfg, ctx)?;
+    let final_sim = run_final_sim(program, &traces, &layout, exec, &prof_cfg, obs)?;
     drop(span);
     obs.ts_sample("flow.progress", 4, final_sim.stats.cache_misses as f64);
     let breakdown = EnergyBreakdown::from_stats(&final_sim.stats, &table, false);
@@ -531,7 +479,7 @@ pub fn run_loop_cache_flow(
     config: &LoopCacheConfig,
     ctx: &FlowCtx,
 ) -> Result<FlowReport, FlowError> {
-    let obs = &ctx.obs;
+    let obs = &ctx.solve.obs;
     let cache = config.cache;
     let capacity = config.capacity;
     let max_objects = config.max_objects;
@@ -551,7 +499,7 @@ pub fn run_loop_cache_flow(
 
     let cfg = HierarchyConfig::loop_cache_system(cache, capacity, max_objects, assignment.ranges());
     let span = obs.span("simulate");
-    let final_sim = run_final_sim(program, &traces, &layout, exec, &cfg, ctx)?;
+    let final_sim = run_final_sim(program, &traces, &layout, exec, &cfg, obs)?;
     drop(span);
     let span = obs.span("conflict");
     let graph = ConflictGraph::from_simulation_obs(&traces, &final_sim, obs);
@@ -584,24 +532,20 @@ pub fn run_loop_cache_flow(
     })
 }
 
-/// The final simulation under the context's recorder choice.
+/// The final simulation, with per-set statistics when `obs` is
+/// enabled and the allocation-free path otherwise.
 fn run_final_sim(
     program: &Program,
     traces: &TraceSet,
     layout: &Layout,
     exec: &ExecutionTrace,
     cfg: &HierarchyConfig,
-    ctx: &FlowCtx,
+    obs: &Obs,
 ) -> Result<SimOutcome, PreloadError> {
-    let record = match ctx.recorder {
-        RecorderKind::Auto => ctx.obs.is_enabled(),
-        RecorderKind::Null => false,
-        RecorderKind::SetStats => true,
-    };
-    if record {
+    if obs.is_enabled() {
         let recorder = SetStatsRecorder::new(cfg.cache.num_sets() as usize);
         let (sim, recorder) = simulate_observed(program, traces, layout, exec, cfg, recorder)?;
-        recorder.export(&ctx.obs);
+        recorder.export(obs);
         Ok(sim)
     } else {
         simulate(program, traces, layout, exec, cfg)
@@ -843,13 +787,13 @@ mod tests {
     }
 
     #[test]
-    fn session_recorder_captures_the_flow_decision_log() {
+    fn search_sink_captures_the_flow_decision_log() {
         let (p, prof, exec) = thrash_workload();
         let cfg = config(AllocatorKind::CasaBb);
-        let rec = SessionRecorder::enabled();
-        let ctx = FlowCtx::default().with_session(&rec);
+        let sink = SearchSink::default().with_log();
+        let ctx = FlowCtx::default().with_sink(&sink);
         let report = run_spm_flow(&p, &prof, &exec, &cfg, &ctx).unwrap();
-        let log = rec.take().expect("enabled recorder yields a log");
+        let log = sink.take_log().expect("kept log");
         // The recorded final incumbent IS the flow's allocation, and
         // the recorder does not perturb the answer.
         let last = log
@@ -869,10 +813,11 @@ mod tests {
         let cfg = config(AllocatorKind::CasaBb);
         let run = || {
             let obs = Obs::enabled();
-            let tree = TreeRecorder::with_cap(4096);
-            let ctx = FlowCtx::observed(&obs).with_tree(&tree);
+            let sink =
+                SearchSink::default().with_tree(casa_ilp::tree::TreeRecorder::with_cap(4096));
+            let ctx = FlowCtx::observed(&obs).with_sink(&sink);
             let report = run_spm_flow(&p, &prof, &exec, &cfg, &ctx).unwrap();
-            (report, obs.timeseries_snapshot(), tree.take().unwrap())
+            (report, obs.timeseries_snapshot(), sink.take_tree().unwrap())
         };
         let (report, ts, tree) = run();
         let flow = ts.series.get("flow.progress").expect("flow phases sampled");

@@ -79,8 +79,9 @@ pub fn allocate_greedy(model: &EnergyModel<'_>, capacity: u32) -> Allocation {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use crate::casa_bb::allocate_bb;
     use crate::conflict::ConflictGraph;
+    use crate::engine::{allocate, SolveCtx};
+    use crate::flow::AllocatorKind;
     use casa_energy::EnergyTable;
     use std::collections::HashMap;
 
@@ -140,7 +141,7 @@ mod tests {
             let m = EnergyModel::new(&g, &t);
             let cap = (next() % 200) as u32;
             let greedy = allocate_greedy(&m, cap);
-            let exact = allocate_bb(&m, cap);
+            let exact = allocate(&m, cap, AllocatorKind::CasaBb, &SolveCtx::default()).allocation;
             let (eg, ee) = (
                 greedy.predicted_energy.unwrap(),
                 exact.predicted_energy.unwrap(),

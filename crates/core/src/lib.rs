@@ -22,10 +22,12 @@
 //!   against the ILP by property tests.
 //! * [`greedy`] — a density-greedy heuristic (incumbent provider and
 //!   ablation point).
-//! * [`engine`] — the anytime allocation engine: any allocator under a
+//! * [`engine`] — the anytime allocation engine and the one solve
+//!   entry point, [`engine::allocate`]: any allocator under a
 //!   wall-clock/node/cancellation [`engine::Budget`], warm-started and
 //!   degrading gracefully to an incumbent-with-gap or the greedy
-//!   heuristic instead of failing.
+//!   heuristic instead of failing, with every search decision streamed
+//!   into one [`engine::SearchSink`].
 //! * [`steinke`] — the DATE'02 baseline: cache-oblivious fetch-count
 //!   knapsack with *move* semantics.
 //! * [`ross`] — the preloaded-loop-cache baseline: density-greedy
@@ -81,8 +83,8 @@ pub use allocation::Allocation;
 pub use conflict::ConflictGraph;
 pub use energy_model::EnergyModel;
 pub use engine::{
-    allocate_budgeted, allocate_recorded, allocate_traced, AllocOutcome, AllocStatus, Budget,
-    BudgetKind, CancelToken, TreeRecorder,
+    allocate, allocate_budgeted, AllocOutcome, AllocStatus, Budget, BudgetKind, CancelToken,
+    SearchSink, SolveCtx, TreeRecorder,
 };
 pub use explain::{
     explain_allocation, explain_json, parse_explain, render_explain, ExplainDoc, ExplainError,
@@ -90,7 +92,7 @@ pub use explain::{
 };
 pub use flow::{
     run_loop_cache_flow, run_spm_flow, AllocatorKind, ConfigError, FlowConfig, FlowCtx, FlowReport,
-    LoopCacheConfig, RecorderKind,
+    LoopCacheConfig,
 };
 pub use report::EnergyBreakdown;
 pub use server::{
@@ -99,6 +101,5 @@ pub use server::{
     SubmitError, WorkloadRequest, WIRE_VERSION,
 };
 pub use session::{
-    request_json, DecisionLog, ReplayError, ReplaySummary, Session, SessionError, SessionRecorder,
-    SESSION_SCHEMA,
+    request_json, DecisionLog, ReplayError, ReplaySummary, Session, SessionError, SESSION_SCHEMA,
 };

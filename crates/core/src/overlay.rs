@@ -209,8 +209,9 @@ pub fn allocate_overlay_dp(
     table: &EnergyTable,
     capacity: u32,
 ) -> OverlayAllocation {
-    use crate::casa_bb::allocate_bb;
     use crate::energy_model::EnergyModel;
+    use crate::engine::{allocate, SolveCtx};
+    use crate::flow::AllocatorKind;
     assert!(!graphs.is_empty(), "need at least one phase");
     let n = graphs[0].len();
     for g in graphs {
@@ -223,7 +224,13 @@ pub fn allocate_overlay_dp(
     let mut nodes = 0u64;
     for g in graphs {
         let model = EnergyModel::new(g, table);
-        let a = allocate_bb(&model, capacity);
+        let a = allocate(
+            &model,
+            capacity,
+            AllocatorKind::CasaBb,
+            &SolveCtx::default(),
+        )
+        .allocation;
         nodes += a.solver_nodes;
         if !candidates.contains(&a.on_spm) {
             candidates.push(a.on_spm);
@@ -481,8 +488,9 @@ mod tests {
 
     #[test]
     fn single_phase_matches_static_casa() {
-        use crate::casa_bb::allocate_bb;
         use crate::energy_model::EnergyModel;
+        use crate::engine::{allocate, SolveCtx};
+        use crate::flow::AllocatorKind;
         let mut edges = HashMap::new();
         edges.insert((0, 1), 500u64);
         edges.insert((1, 0), 500u64);
@@ -491,7 +499,7 @@ mod tests {
         let overlay =
             allocate_overlay(std::slice::from_ref(&g), &t, 64, &SolverOptions::default()).unwrap();
         let model = EnergyModel::new(&g, &t);
-        let stat = allocate_bb(&model, 64);
+        let stat = allocate(&model, 64, AllocatorKind::CasaBb, &SolveCtx::default()).allocation;
         // Equally good chosen set (the instance is symmetric in
         // objects 0 and 1, so the *sets* may differ); the overlay's
         // energy is the static optimum plus the one-time DMA.

@@ -42,10 +42,10 @@
 use crate::allocation::Allocation;
 use crate::conflict::ConflictGraph;
 use crate::energy_model::EnergyModel;
-use crate::engine::{allocate_traced, AllocOutcome, AllocStatus, Budget, TreeRecorder};
+use crate::engine::{allocate, AllocOutcome, AllocStatus, Budget, SearchSink, SolveCtx};
 use crate::explain::{explain_allocation, explain_json};
 use crate::flow::AllocatorKind;
-use crate::session::{Session, SessionRecorder};
+use crate::session::Session;
 use casa_energy::{EnergyTable, TechParams};
 use casa_mem::cache::{CacheConfig, ReplacementPolicy};
 use casa_obs::{fnv1a_64, jnum, json_escape, ArgValue, Obs, SolveAttribution};
@@ -1173,36 +1173,23 @@ fn solve_one(
         obs.add("server.cache_warm_hits_total", 1);
     }
     let model = EnergyModel::new(&job.graph, &job.table);
-    let budget = job.budget();
-    let fresh_recorder = || {
+    // With a session directory configured, each request's search keeps
+    // its decision log and its tree ring (capped via CASA_TREE_CAP),
+    // written as a session and a `.tree.json` sibling.
+    let fresh_sink = || {
         if session_dir.is_some() {
-            SessionRecorder::enabled()
+            SearchSink::default()
+                .with_log()
+                .with_tree(casa_ilp::tree::TreeRecorder::from_env())
         } else {
-            SessionRecorder::disabled()
+            SearchSink::default()
         }
     };
-    // Tree capture rides the session-capture plumbing: enabled per
-    // request when a session directory is configured, ring-capped via
-    // CASA_TREE_CAP, written as a `.tree.json` sibling of the session.
-    let fresh_tree = || {
-        if session_dir.is_some() {
-            TreeRecorder::from_env()
-        } else {
-            TreeRecorder::disabled()
-        }
-    };
-    let mut rec = fresh_recorder();
-    let mut tree = fresh_tree();
-    let mut out = allocate_traced(
-        &model,
-        job.capacity,
-        job.allocator,
-        &budget,
-        warm.as_deref(),
-        obs,
-        &rec,
-        &tree,
-    );
+    let mut ctx = SolveCtx::observed(obs)
+        .with_budget(job.budget())
+        .with_warm(warm.clone())
+        .with_sink(&fresh_sink());
+    let mut out = allocate(&model, job.capacity, job.allocator, &ctx);
     if let Some(w) = warm.as_deref() {
         // Canonical re-solve: the B&B keeps incumbents on *strict*
         // improvement, so a warm start that already attains the
@@ -1214,18 +1201,8 @@ fn solve_one(
         // response describes, and it replays without divergence.
         if out.status.is_optimal() && out.allocation.on_spm == w {
             obs.add("server.canonical_resolves_total", 1);
-            rec = fresh_recorder();
-            tree = fresh_tree();
-            out = allocate_traced(
-                &model,
-                job.capacity,
-                job.allocator,
-                &budget,
-                None,
-                obs,
-                &rec,
-                &tree,
-            );
+            ctx = ctx.with_warm(None).with_sink(&fresh_sink());
+            out = allocate(&model, job.capacity, job.allocator, &ctx);
         }
     }
     obs.add(
@@ -1234,8 +1211,17 @@ fn solve_one(
     );
     let body = response_json(job, &out, &model);
     if let Some(dir) = session_dir {
-        write_request_session(dir, job, &out, &model, &rec, req_id, keys.exact_fp, obs);
-        write_request_tree(dir, &tree, req_id, keys.exact_fp, obs);
+        write_request_session(
+            dir,
+            job,
+            &out,
+            &model,
+            &ctx.sink,
+            req_id,
+            keys.exact_fp,
+            obs,
+        );
+        write_request_tree(dir, &ctx.sink, req_id, keys.exact_fp, obs);
         if job.explain {
             write_request_explain(dir, job, &out, &model, req_id, keys.exact_fp, obs);
         }
@@ -1294,12 +1280,12 @@ fn write_request_session(
     job: &SolveJob,
     out: &AllocOutcome,
     model: &EnergyModel<'_>,
-    rec: &SessionRecorder,
+    sink: &SearchSink,
     req_id: &str,
     exact_fp: u64,
     obs: &Obs,
 ) {
-    let Some(log) = rec.take() else { return };
+    let Some(log) = sink.take_log() else { return };
     let mut meta = vec![("source".to_string(), "casa-server".to_string())];
     if !req_id.is_empty() {
         meta.push(("req_id".to_string(), req_id.to_string()));
@@ -1335,8 +1321,8 @@ fn capture_stem(req_id: &str, exact_fp: u64) -> String {
 /// Capture one request's search tree as a `<stem>.tree.json` sibling
 /// of its session file. Same best-effort contract as session capture:
 /// never touches the reply, success and failure are only counted.
-fn write_request_tree(dir: &Path, tree: &TreeRecorder, req_id: &str, exact_fp: u64, obs: &Obs) {
-    let Some(log) = tree.take() else { return };
+fn write_request_tree(dir: &Path, sink: &SearchSink, req_id: &str, exact_fp: u64, obs: &Obs) {
+    let Some(log) = sink.take_tree() else { return };
     let stem = capture_stem(req_id, exact_fp);
     let json = casa_ilp::tree::tree_log_json(&log);
     match std::fs::write(dir.join(format!("{stem}.tree.json")), json) {

@@ -15,20 +15,12 @@
 //!
 //! # On-disk format
 //!
-//! Two sibling encodings, selected by file extension in
-//! [`Session::save`] / [`Session::load`]:
-//!
-//! * `.casa-session` (any extension other than `.json`) — compact
-//!   binary framing: an 8-byte magic `CASASESS`, a little-endian `u32`
-//!   schema number, then tagged sections (`u16` tag, `u64` payload
-//!   length, payload). Readers **skip unknown tags**, so newer writers
-//!   can add sections without breaking older readers; truncated input
-//!   is an error, exactly like the `bench::history` reader.
-//! * `.json` — one deterministic JSON object with sorted keys.
-//!   `f64` values travel as 16-digit hex bit patterns so the
-//!   round-trip is bit-exact regardless of the JSON number parser.
-//!   Readers ignore unknown keys and reject `schema` values above
-//!   their own.
+//! One deterministic JSON object with sorted keys, whatever the file
+//! extension (by convention `.casa-session`). `f64` values travel as
+//! 16-digit hex bit patterns so the round-trip is bit-exact regardless
+//! of the JSON number parser. Readers ignore unknown keys, reject
+//! `schema` values above their own, and report truncated or malformed
+//! input as a clean [`SessionError::Format`].
 //!
 //! # Replay-equivalence guarantee
 //!
@@ -44,141 +36,17 @@
 use crate::allocation::Allocation;
 use crate::casa_bb::SavingsModel;
 use crate::energy_model::EnergyModel;
-use crate::engine::{allocate_recorded, AllocOutcome, AllocStatus, BudgetKind};
+use crate::engine::{allocate, AllocOutcome, AllocStatus, BudgetKind, SearchSink, SolveCtx};
 use crate::flow::AllocatorKind;
 use crate::server::{parse_request, response_json, ParsedRequest, SolveJob};
-use casa_obs::{jnum, json_escape, Obs};
+use casa_obs::{jnum, json_escape};
 use serde::json::Value;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+
+pub use casa_ilp::search::{BoundUpdate, DecisionLog, Incumbent};
 
 /// Current session schema number. Readers reject anything newer.
 pub const SESSION_SCHEMA: u32 = 1;
-
-/// Magic bytes opening every binary session file.
-pub const SESSION_MAGIC: &[u8; 8] = b"CASASESS";
-
-// ---------------------------------------------------------------------------
-// Decision log + recorder
-// ---------------------------------------------------------------------------
-
-/// One incumbent adoption: the node that found it, the solver-internal
-/// objective (bit pattern, for exact round-trips), and the chosen set.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Incumbent {
-    /// Node count at adoption (0 = the initial greedy/warm incumbent).
-    pub node: u64,
-    /// Bit pattern of the solver's objective for this incumbent
-    /// (savings for the specialized B&B, minimized energy for the
-    /// ILP).
-    pub objective_bits: u64,
-    /// The scratchpad set adopted, one flag per object.
-    pub on_spm: Vec<bool>,
-}
-
-/// One strict improvement of the global optimistic bound.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BoundUpdate {
-    /// Node count when the bound improved.
-    pub node: u64,
-    /// Bit pattern of the new bound (solver orientation).
-    pub value_bits: u64,
-}
-
-/// Everything a recorded search decided, in order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DecisionLog {
-    /// Branch variable order: candidate indices for the specialized
-    /// B&B (its full static order), raw model variable indices for the
-    /// ILP (one entry per branching decision).
-    pub order: Vec<u32>,
-    /// Every incumbent adoption, oldest first.
-    pub incumbents: Vec<Incumbent>,
-    /// Every strict bound improvement, oldest first.
-    pub bounds: Vec<BoundUpdate>,
-    /// Which budget dimension stopped the search (`None` = closed).
-    pub stop: Option<String>,
-    /// Total nodes the search visited.
-    pub nodes: u64,
-}
-
-/// Recording hook threaded through the allocation engine, mirroring
-/// the `Obs` pattern: [`SessionRecorder::disabled`] is a no-op with
-/// near-zero cost, [`SessionRecorder::enabled`] accumulates a
-/// [`DecisionLog`] retrievable with [`SessionRecorder::take`].
-///
-/// Clones share the same log, so the engine can hand copies to the
-/// solver layers while the caller keeps one to harvest.
-#[derive(Debug, Clone, Default)]
-pub struct SessionRecorder(Option<Arc<Mutex<DecisionLog>>>);
-
-impl SessionRecorder {
-    /// A recorder that accumulates decisions.
-    pub fn enabled() -> Self {
-        SessionRecorder(Some(Arc::new(Mutex::new(DecisionLog::default()))))
-    }
-
-    /// The no-op recorder.
-    pub fn disabled() -> Self {
-        SessionRecorder(None)
-    }
-
-    /// Whether decisions are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    fn with<F: FnOnce(&mut DecisionLog)>(&self, f: F) {
-        if let Some(log) = &self.0 {
-            if let Ok(mut log) = log.lock() {
-                f(&mut log);
-            }
-        }
-    }
-
-    /// Record the branch variable order (appends, so the ILP can feed
-    /// one decision at a time while the B&B dumps its static order).
-    pub fn record_order<I: IntoIterator<Item = u32>>(&self, order: I) {
-        self.with(|l| l.order.extend(order));
-    }
-
-    /// Record an incumbent adoption.
-    pub fn record_incumbent(&self, node: u64, objective: f64, on_spm: Vec<bool>) {
-        self.with(|l| {
-            l.incumbents.push(Incumbent {
-                node,
-                objective_bits: objective.to_bits(),
-                on_spm,
-            });
-        });
-    }
-
-    /// Record a strict bound improvement.
-    pub fn record_bound(&self, node: u64, value: f64) {
-        self.with(|l| {
-            l.bounds.push(BoundUpdate {
-                node,
-                value_bits: value.to_bits(),
-            });
-        });
-    }
-
-    /// Record the stop disposition and final node count.
-    pub fn record_stop(&self, kind: Option<&str>, nodes: u64) {
-        self.with(|l| {
-            l.stop = kind.map(str::to_string);
-            l.nodes = nodes;
-        });
-    }
-
-    /// Harvest the accumulated log (leaves an empty one behind).
-    /// `None` when the recorder is disabled.
-    pub fn take(&self) -> Option<DecisionLog> {
-        self.0
-            .as_ref()
-            .and_then(|log| log.lock().ok().map(|mut l| std::mem::take(&mut *l)))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The session
@@ -294,271 +162,6 @@ impl Session {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec
-// ---------------------------------------------------------------------------
-
-const T_REQUEST: u16 = 1;
-const T_LAYOUT: u16 = 2;
-const T_ENERGY: u16 = 3;
-const T_STATUS: u16 = 4;
-const T_GAP: u16 = 5;
-const T_STOPPED: u16 = 6;
-const T_REASON: u16 = 7;
-const T_NODES: u16 = 8;
-const T_REPORT: u16 = 9;
-const T_ORDER: u16 = 10;
-const T_LOG_NODES: u16 = 11;
-const T_LOG_STOP: u16 = 12;
-const T_INCUMBENT: u16 = 13;
-const T_BOUND: u16 = 14;
-const T_META: u16 = 15;
-
-fn section(out: &mut Vec<u8>, tag: u16, payload: &[u8]) {
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Bounded little-endian reader over a byte slice; every shortfall is
-/// a truncation error.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SessionError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| SessionError::Format("truncated session file".to_string()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, SessionError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, SessionError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SessionError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-}
-
-fn utf8(payload: &[u8]) -> Result<String, SessionError> {
-    String::from_utf8(payload.to_vec())
-        .map_err(|_| SessionError::Format("non-UTF-8 string section".to_string()))
-}
-
-impl Session {
-    /// Serialize to the compact binary framing.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 + self.request.len() + self.report.len());
-        out.extend_from_slice(SESSION_MAGIC);
-        out.extend_from_slice(&self.schema.to_le_bytes());
-        section(&mut out, T_REQUEST, self.request.as_bytes());
-        let layout: Vec<u8> = self.layout.iter().map(|&b| u8::from(b)).collect();
-        section(&mut out, T_LAYOUT, &layout);
-        section(&mut out, T_ENERGY, &self.energy_bits.to_le_bytes());
-        section(&mut out, T_STATUS, self.status.as_bytes());
-        section(&mut out, T_GAP, &self.gap_bits.to_le_bytes());
-        if let Some(s) = &self.stopped_by {
-            section(&mut out, T_STOPPED, s.as_bytes());
-        }
-        if let Some(r) = &self.reason {
-            section(&mut out, T_REASON, r.as_bytes());
-        }
-        section(&mut out, T_NODES, &self.nodes.to_le_bytes());
-        section(&mut out, T_REPORT, self.report.as_bytes());
-        let mut order = Vec::with_capacity(4 * self.log.order.len());
-        for &v in &self.log.order {
-            order.extend_from_slice(&v.to_le_bytes());
-        }
-        section(&mut out, T_ORDER, &order);
-        section(&mut out, T_LOG_NODES, &self.log.nodes.to_le_bytes());
-        if let Some(s) = &self.log.stop {
-            section(&mut out, T_LOG_STOP, s.as_bytes());
-        }
-        for inc in &self.log.incumbents {
-            let mut p = Vec::with_capacity(24 + inc.on_spm.len());
-            p.extend_from_slice(&inc.node.to_le_bytes());
-            p.extend_from_slice(&inc.objective_bits.to_le_bytes());
-            p.extend_from_slice(&(inc.on_spm.len() as u64).to_le_bytes());
-            p.extend(inc.on_spm.iter().map(|&b| u8::from(b)));
-            section(&mut out, T_INCUMBENT, &p);
-        }
-        for b in &self.log.bounds {
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&b.node.to_le_bytes());
-            p.extend_from_slice(&b.value_bits.to_le_bytes());
-            section(&mut out, T_BOUND, &p);
-        }
-        for (k, v) in &self.meta {
-            let mut p = Vec::with_capacity(16 + k.len() + v.len());
-            p.extend_from_slice(&(k.len() as u64).to_le_bytes());
-            p.extend_from_slice(k.as_bytes());
-            p.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            p.extend_from_slice(v.as_bytes());
-            section(&mut out, T_META, &p);
-        }
-        out
-    }
-
-    /// Parse the binary framing. Unknown section tags are skipped
-    /// (forward compatibility); truncated input and schema numbers
-    /// above [`SESSION_SCHEMA`] are errors.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Format`] describing the first violation.
-    pub fn from_binary(bytes: &[u8]) -> Result<Session, SessionError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        if c.take(8)? != SESSION_MAGIC {
-            return Err(SessionError::Format(
-                "not a casa session file (bad magic)".to_string(),
-            ));
-        }
-        let schema = c.u32()?;
-        if schema > SESSION_SCHEMA {
-            return Err(SessionError::Format(format!(
-                "unsupported session schema {schema} (this reader understands up to {SESSION_SCHEMA})"
-            )));
-        }
-        let mut s = Session {
-            schema,
-            ..Session::default()
-        };
-        let (mut saw_request, mut saw_status, mut saw_report) = (false, false, false);
-        while !c.done() {
-            let tag = c.u16()?;
-            let len = c.u64()?;
-            let len = usize::try_from(len)
-                .map_err(|_| SessionError::Format("section length overflows".to_string()))?;
-            let payload = c.take(len)?;
-            match tag {
-                T_REQUEST => {
-                    s.request = utf8(payload)?;
-                    saw_request = true;
-                }
-                T_LAYOUT => s.layout = payload.iter().map(|&b| b != 0).collect(),
-                T_ENERGY => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    s.energy_bits = c.u64()?;
-                }
-                T_STATUS => {
-                    s.status = utf8(payload)?;
-                    saw_status = true;
-                }
-                T_GAP => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    s.gap_bits = c.u64()?;
-                }
-                T_STOPPED => s.stopped_by = Some(utf8(payload)?),
-                T_REASON => s.reason = Some(utf8(payload)?),
-                T_NODES => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    s.nodes = c.u64()?;
-                }
-                T_REPORT => {
-                    s.report = utf8(payload)?;
-                    saw_report = true;
-                }
-                T_ORDER => {
-                    if !payload.len().is_multiple_of(4) {
-                        return Err(SessionError::Format(
-                            "order section length not a multiple of 4".to_string(),
-                        ));
-                    }
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    s.log.order = (0..payload.len() / 4)
-                        .map(|_| c.u32())
-                        .collect::<Result<_, _>>()?;
-                }
-                T_LOG_NODES => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    s.log.nodes = c.u64()?;
-                }
-                T_LOG_STOP => s.log.stop = Some(utf8(payload)?),
-                T_INCUMBENT => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    let node = c.u64()?;
-                    let objective_bits = c.u64()?;
-                    let count = usize::try_from(c.u64()?)
-                        .map_err(|_| SessionError::Format("incumbent count overflows".into()))?;
-                    let flags = c.take(count)?;
-                    s.log.incumbents.push(Incumbent {
-                        node,
-                        objective_bits,
-                        on_spm: flags.iter().map(|&b| b != 0).collect(),
-                    });
-                }
-                T_BOUND => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    s.log.bounds.push(BoundUpdate {
-                        node: c.u64()?,
-                        value_bits: c.u64()?,
-                    });
-                }
-                T_META => {
-                    let mut c = Cursor {
-                        bytes: payload,
-                        pos: 0,
-                    };
-                    let klen = usize::try_from(c.u64()?)
-                        .map_err(|_| SessionError::Format("meta key length overflows".into()))?;
-                    let key = utf8(c.take(klen)?)?;
-                    let vlen = usize::try_from(c.u64()?)
-                        .map_err(|_| SessionError::Format("meta value length overflows".into()))?;
-                    let val = utf8(c.take(vlen)?)?;
-                    s.meta.push((key, val));
-                }
-                _ => {} // unknown tag: payload already consumed, skip
-            }
-        }
-        if !saw_request || !saw_status || !saw_report {
-            return Err(SessionError::Format(
-                "session file missing a required section (request/status/report)".to_string(),
-            ));
-        }
-        Ok(s)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // JSON codec
 // ---------------------------------------------------------------------------
 
@@ -614,8 +217,8 @@ fn jflags(v: &Value, what: &str) -> Result<Vec<bool>, SessionError> {
 }
 
 impl Session {
-    /// Serialize to the deterministic JSON sibling format (sorted
-    /// keys, `f64` bit patterns as hex strings).
+    /// Serialize to the deterministic JSON format (sorted keys, `f64`
+    /// bit patterns as hex strings).
     pub fn to_json(&self) -> String {
         let bounds = self
             .log
@@ -674,7 +277,7 @@ impl Session {
         )
     }
 
-    /// Parse the JSON sibling format. Unknown keys are ignored
+    /// Parse the JSON format. Unknown keys are ignored
     /// (forward compatibility); schema numbers above
     /// [`SESSION_SCHEMA`] are rejected.
     ///
@@ -808,24 +411,16 @@ impl Session {
         Ok(s)
     }
 
-    /// Write the session to `path`, picking the codec by extension:
-    /// `.json` gets the JSON sibling, everything else (by convention
-    /// `.casa-session`) the binary framing.
+    /// Write the session to `path` as JSON.
     ///
     /// # Errors
     ///
     /// [`SessionError::Io`] on filesystem failure.
     pub fn save(&self, path: &Path) -> Result<(), SessionError> {
-        let bytes = if is_json_path(path) {
-            self.to_json().into_bytes()
-        } else {
-            self.to_binary()
-        };
-        std::fs::write(path, bytes).map_err(SessionError::Io)
+        std::fs::write(path, self.to_json()).map_err(SessionError::Io)
     }
 
-    /// Read a session from `path` (codec by extension, like
-    /// [`Session::save`]).
+    /// Read a session from `path`.
     ///
     /// # Errors
     ///
@@ -833,18 +428,10 @@ impl Session {
     /// [`SessionError::Format`] on malformed content.
     pub fn load(path: &Path) -> Result<Session, SessionError> {
         let bytes = std::fs::read(path).map_err(SessionError::Io)?;
-        if is_json_path(path) {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| SessionError::Format("non-UTF-8 JSON session".to_string()))?;
-            Session::from_json(&text)
-        } else {
-            Session::from_binary(&bytes)
-        }
+        let text = String::from_utf8(bytes)
+            .map_err(|_| SessionError::Format("non-UTF-8 session file".to_string()))?;
+        Session::from_json(&text)
     }
-}
-
-fn is_json_path(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "json")
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,13 +643,8 @@ impl Session {
         job: &SolveJob,
         model: &EnergyModel<'_>,
     ) -> Result<ReplaySummary, ReplayError> {
-        let out = crate::engine::allocate_budgeted(
-            model,
-            job.capacity,
-            job.allocator,
-            &job.budget(),
-            &Obs::disabled(),
-        );
+        let ctx = SolveCtx::default().with_budget(job.budget());
+        let out = allocate(model, job.capacity, job.allocator, &ctx);
         if out.allocation.on_spm != self.layout {
             return Err(ReplayError::Mismatch(
                 "re-executed layout differs from the recording".to_string(),
@@ -1178,17 +760,12 @@ impl Session {
     pub fn divergence(&self) -> Result<Option<String>, ReplayError> {
         let job = self.parsed_job()?;
         let model = EnergyModel::new(&job.graph, &job.table);
-        let rec = SessionRecorder::enabled();
-        let _ = allocate_recorded(
-            &model,
-            job.capacity,
-            job.allocator,
-            &job.budget(),
-            None,
-            &Obs::disabled(),
-            &rec,
-        );
-        let fresh = rec.take().unwrap_or_default();
+        let sink = SearchSink::default().with_log();
+        let ctx = SolveCtx::default()
+            .with_budget(job.budget())
+            .with_sink(&sink);
+        let _ = allocate(&model, job.capacity, job.allocator, &ctx);
+        let fresh = sink.take_log().unwrap_or_default();
         Ok(diff_logs(&self.log, &fresh))
     }
 }
@@ -1335,21 +912,16 @@ mod tests {
 
     fn record(job: &SolveJob) -> Session {
         let model = EnergyModel::new(&job.graph, &job.table);
-        let rec = SessionRecorder::enabled();
-        let out = allocate_recorded(
-            &model,
-            job.capacity,
-            job.allocator,
-            &job.budget(),
-            None,
-            &Obs::disabled(),
-            &rec,
-        );
+        let sink = SearchSink::default().with_log();
+        let ctx = SolveCtx::default()
+            .with_budget(job.budget())
+            .with_sink(&sink);
+        let out = allocate(&model, job.capacity, job.allocator, &ctx);
         Session::capture(
             job,
             &out,
             &model,
-            rec.take().expect("enabled recorder"),
+            sink.take_log().expect("log kept"),
             vec![("kind".to_string(), "test".to_string())],
         )
     }
@@ -1462,36 +1034,10 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_json_round_trips_are_identity() {
-        let j = job(AllocatorKind::CasaBb, Some(3));
-        let s = record(&j);
-        assert_eq!(Session::from_binary(&s.to_binary()).expect("binary"), s);
+    fn json_round_trip_is_identity_and_newer_schema_is_rejected() {
+        let mut s = record(&job(AllocatorKind::CasaBb, Some(3)));
         assert_eq!(Session::from_json(&s.to_json()).expect("json"), s);
-    }
-
-    #[test]
-    fn binary_reader_skips_unknown_tags_and_rejects_truncation() {
-        let s = record(&job(AllocatorKind::CasaGreedy, None));
-        let mut bytes = s.to_binary();
-        // Unknown trailing section: skipped, still equal.
-        section(&mut bytes, 0x7FFF, b"from the future");
-        assert_eq!(Session::from_binary(&bytes).expect("tolerant"), s);
-        // Any prefix cut inside a section is a truncation error.
-        let cut = bytes.len() - 4;
-        assert!(matches!(
-            Session::from_binary(&bytes[..cut]),
-            Err(SessionError::Format(_))
-        ));
-    }
-
-    #[test]
-    fn newer_schema_is_rejected_by_both_codecs() {
-        let mut s = record(&job(AllocatorKind::CasaGreedy, None));
         s.schema = SESSION_SCHEMA + 1;
-        assert!(matches!(
-            Session::from_binary(&s.to_binary()),
-            Err(SessionError::Format(_))
-        ));
         assert!(matches!(
             Session::from_json(&s.to_json()),
             Err(SessionError::Format(_))
@@ -1507,19 +1053,15 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_pick_codec_by_extension() {
+    fn save_writes_json_whatever_the_extension() {
         let dir = std::env::temp_dir().join("casa-session-ext-test");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let s = record(&job(AllocatorKind::CasaBb, None));
-        let bin = dir.join("one.casa-session");
-        let json = dir.join("one.json");
-        s.save(&bin).expect("save binary");
-        s.save(&json).expect("save json");
-        assert_eq!(Session::load(&bin).expect("load binary"), s);
-        assert_eq!(Session::load(&json).expect("load json"), s);
-        assert!(std::fs::read(&bin)
-            .expect("read")
-            .starts_with(SESSION_MAGIC));
+        let path = dir.join("one.casa-session");
+        s.save(&path).expect("save");
+        assert_eq!(Session::load(&path).expect("load"), s);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(text, s.to_json());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

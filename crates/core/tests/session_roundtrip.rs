@@ -1,14 +1,12 @@
-//! Property tests for the `.casa-session` codecs (satellite of the
-//! record/replay PR):
+//! Property tests for the `.casa-session` JSON codec:
 //!
-//! 1. Write → read is the identity for arbitrary sessions, through
-//!    both the binary framing and the JSON sibling — including f64 bit
-//!    patterns (NaN payloads travel as bits, not as parsed numbers)
-//!    and strings needing escapes.
-//! 2. Truncated binary input is always a clean `Format` error, never a
-//!    panic and never a silently shorter session.
-//! 3. Forward compatibility: a reader presented with sections/keys it
-//!    does not know skips them and still reconstructs the session.
+//! 1. Write → read is the identity for arbitrary sessions — including
+//!    f64 bit patterns (NaN payloads travel as bits, not as parsed
+//!    numbers) and strings needing escapes — and a truncated document
+//!    is always a clean `Format` error, never a panic and never a
+//!    silently shorter session.
+//! 2. Forward compatibility: a reader presented with keys it does not
+//!    know skips them and still reconstructs the session.
 
 use casa_core::session::{BoundUpdate, DecisionLog, Incumbent};
 use casa_core::{Session, SessionError, SESSION_SCHEMA};
@@ -95,38 +93,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn binary_round_trip_is_identity(s in ArbSession) {
-        let bytes = s.to_binary();
-        prop_assert_eq!(Session::from_binary(&bytes).expect("reads back"), s);
-    }
-
-    #[test]
-    fn json_round_trip_is_identity(s in ArbSession) {
+    fn json_round_trip_is_identity(s in ArbSession, k in 1usize..4096) {
         let text = s.to_json();
         prop_assert_eq!(Session::from_json(&text).expect("parses back"), s);
-    }
-
-    #[test]
-    fn truncated_binary_is_a_clean_format_error(s in ArbSession, k in 1usize..=9) {
-        // Every section ends with at least its own 10-byte header, so
-        // shaving 1..=9 bytes always cuts *inside* the final section.
-        let bytes = s.to_binary();
+        // No strict prefix of the document is a complete JSON object.
+        let mut cut = text.len().saturating_sub(k);
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
         prop_assert!(matches!(
-            Session::from_binary(&bytes[..bytes.len() - k]),
+            Session::from_json(&text[..cut]),
             Err(SessionError::Format(_))
         ));
-    }
-
-    #[test]
-    fn unknown_binary_sections_are_skipped(s in ArbSession, payload in prop::collection::vec(any::<u8>(), 0..32)) {
-        // A section tag this build has never heard of, spliced onto the
-        // end exactly as a future writer would: u16 tag, u64 length,
-        // payload — all little-endian.
-        let mut bytes = s.to_binary();
-        bytes.extend_from_slice(&999u16.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        prop_assert_eq!(Session::from_binary(&bytes).expect("tolerant reader"), s);
     }
 
     #[test]
@@ -143,7 +121,6 @@ proptest! {
     fn newer_schema_is_refused(s in ArbSession, bump in 1u32..5) {
         let mut s = s;
         s.schema = SESSION_SCHEMA + bump;
-        prop_assert!(Session::from_binary(&s.to_binary()).is_err());
         prop_assert!(Session::from_json(&s.to_json()).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! module answers the production question instead: *"what is the best
 //! allocation you can prove within this budget?"* A [`SolveRequest`]
 //! bundles the model, tunables, an optional warm start, a [`Budget`],
-//! and an optional [`SearchRecorder`]; [`SolveOutcome`]
+//! and a [`SearchSink`]; [`SolveOutcome`]
 //! carries the incumbent together with an [`EngineStatus`] — either
 //! proven [`EngineStatus::Optimal`] or [`EngineStatus::Feasible`] with
 //! the **absolute optimality gap** proven by the LP relaxation bound at
@@ -22,14 +22,14 @@
 
 use crate::branch_bound::{BbStats, SolverOptions};
 use crate::model::{Model, Sense};
+use crate::search::{At, Emitter, Point, SearchEvent, SearchSink, SeriesNames};
 use crate::simplex::{solve_lp_counted, LpResult};
 use crate::solution::{Solution, SolveError, Status};
-use crate::tree::{TreeEvent, TreeEventKind, TreeRecorder};
-use casa_obs::{ArgValue, Obs};
+use casa_obs::Obs;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cooperative cancellation handle, cheaply cloneable and shareable
@@ -60,117 +60,6 @@ impl CancelToken {
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-/// The root LP relaxation as provenance material: values, objective,
-/// and the dual information the simplex final basis carries for free.
-/// Everything is in the model's own orientation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RootLp {
-    /// Relaxation value per model variable.
-    pub values: Vec<f64>,
-    /// Relaxation objective (an optimistic bound on the optimum).
-    pub objective: f64,
-    /// Shadow price per model constraint: `d(objective)/d(rhs_k)`.
-    pub duals: Vec<f64>,
-    /// Reduced cost per model variable over model constraints.
-    pub reduced_costs: Vec<f64>,
-}
-
-/// Everything the branch & bound decided during one search, in the
-/// order it decided it — the raw material of a replayable session
-/// (see `casa_core::session`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SearchLog {
-    /// Variable index branched on at each branching node, in order.
-    pub branched: Vec<u32>,
-    /// Every incumbent adoption: `(node, min-oriented objective,
-    /// full value vector)`. Node 0 is a warm-start incumbent.
-    pub incumbents: Vec<(u64, f64, Vec<f64>)>,
-    /// Every strict improvement of the global optimistic bound:
-    /// `(node, min-oriented bound)`.
-    pub bounds: Vec<(u64, f64)>,
-    /// Which budget dimension stopped the search (`None` = closed).
-    pub stop: Option<BudgetKind>,
-    /// Total nodes popped.
-    pub nodes: u64,
-    /// The root relaxation with duals and reduced costs, captured the
-    /// first time the root LP solves to optimality (provenance for
-    /// `casa_core::explain`; `None` when the root never solved).
-    pub root_lp: Option<RootLp>,
-    /// Per-branch provenance: `(node, variable, LP relaxation value at
-    /// the moment of branching)`. Parallel to `branched` (which is
-    /// kept as the compact replay order for the session codec).
-    pub branch_events: Vec<(u64, u32, f64)>,
-}
-
-/// Recorder for the solver decision log, following the [`Obs`]
-/// pattern: cheap to clone, a no-op unless explicitly enabled, and
-/// shareable across the request/solve boundary.
-#[derive(Debug, Clone, Default)]
-pub struct SearchRecorder(Option<Arc<Mutex<SearchLog>>>);
-
-impl SearchRecorder {
-    /// A recorder that captures the decision log.
-    pub fn enabled() -> Self {
-        SearchRecorder(Some(Arc::new(Mutex::new(SearchLog::default()))))
-    }
-
-    /// The no-op recorder (the default).
-    pub fn disabled() -> Self {
-        SearchRecorder(None)
-    }
-
-    /// Whether this recorder captures anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    fn with<F: FnOnce(&mut SearchLog)>(&self, f: F) {
-        if let Some(log) = &self.0 {
-            if let Ok(mut log) = log.lock() {
-                f(&mut log);
-            }
-        }
-    }
-
-    fn branch(&self, node: u64, var: usize, lp_value: f64) {
-        self.with(|l| {
-            l.branched.push(var as u32);
-            l.branch_events.push((node, var as u32, lp_value));
-        });
-    }
-
-    fn root_lp(&self, root: &RootLp) {
-        self.with(|l| {
-            if l.root_lp.is_none() {
-                l.root_lp = Some(root.clone());
-            }
-        });
-    }
-
-    fn incumbent(&self, node: u64, min_obj: f64, values: &[f64]) {
-        self.with(|l| l.incumbents.push((node, min_obj, values.to_vec())));
-    }
-
-    fn bound(&self, node: u64, value: f64) {
-        self.with(|l| l.bounds.push((node, value)));
-    }
-
-    fn stop(&self, kind: Option<BudgetKind>, nodes: u64) {
-        self.with(|l| {
-            l.stop = kind;
-            l.nodes = nodes;
-        });
-    }
-
-    /// Take the captured log, leaving an empty one behind. `None` when
-    /// the recorder is disabled.
-    pub fn take(&self) -> Option<SearchLog> {
-        self.0
-            .as_ref()
-            .and_then(|log| log.lock().ok().map(|mut l| std::mem::take(&mut *l)))
     }
 }
 
@@ -383,8 +272,7 @@ pub struct SolveRequest<'a> {
     budget: Budget,
     warm_start: Option<&'a [f64]>,
     obs: Obs,
-    recorder: SearchRecorder,
-    tree: TreeRecorder,
+    sink: SearchSink,
 }
 
 impl<'a> SolveRequest<'a> {
@@ -397,8 +285,7 @@ impl<'a> SolveRequest<'a> {
             budget: Budget::unlimited(),
             warm_start: None,
             obs: Obs::disabled(),
-            recorder: SearchRecorder::disabled(),
-            tree: TreeRecorder::disabled(),
+            sink: SearchSink::default(),
         }
     }
 
@@ -434,22 +321,11 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// Record the solver's decision log — branch order, incumbents,
-    /// bound updates, stop reason — into `recorder`. No-op with a
-    /// disabled recorder (the default). The log is what makes a solve
-    /// replayable offline (`casa_core::session`).
-    pub fn record(mut self, recorder: &SearchRecorder) -> Self {
-        self.recorder = recorder.clone();
-        self
-    }
-
-    /// Capture the search tree — one [`TreeEvent`] per node open,
-    /// branch, prune, and incumbent adoption, with stable node ids —
-    /// into `tree`. No-op with a disabled recorder (the default).
-    /// Bounds and objectives in the events are reported in the model's
-    /// own objective orientation.
-    pub fn trace_tree(mut self, tree: &TreeRecorder) -> Self {
-        self.tree = tree.clone();
+    /// Stream the search's events into `sink`. Bounds and objectives
+    /// in the events are in the model's own objective orientation;
+    /// node ids are pop counters (0 = the warm-start incumbent).
+    pub fn sink(mut self, sink: &SearchSink) -> Self {
+        self.sink = sink.clone();
         self
     }
 
@@ -470,33 +346,21 @@ impl<'a> SolveRequest<'a> {
     ///   before any feasible integral point was found.
     /// * [`SolveError::IterationLimit`] — simplex failed to converge.
     pub fn solve(self) -> Result<SolveOutcome, SolveError> {
-        let mut stats = BbStats::default();
-        let result = search(
-            self.model,
-            &self.options,
-            &self.budget,
-            self.warm_start,
-            &self.obs,
-            &self.recorder,
-            &self.tree,
-            &mut stats,
-        );
-        self.export_obs(&result, &stats);
-        result
+        self.solve_with_stats().0
     }
 
     /// Like [`solve`](Self::solve), but also returns the stats
     /// gathered up to the point of failure when the solve errors.
     pub fn solve_with_stats(self) -> (Result<SolveOutcome, SolveError>, BbStats) {
         let mut stats = BbStats::default();
+        let em = self.sink.emitter(&self.obs, &ILP_SERIES);
         let result = search(
             self.model,
             &self.options,
             &self.budget,
             self.warm_start,
             &self.obs,
-            &self.recorder,
-            &self.tree,
+            &em,
             &mut stats,
         );
         self.export_obs(&result, &stats);
@@ -530,6 +394,13 @@ impl<'a> SolveRequest<'a> {
     }
 }
 
+/// Where the generic engine's events land in its [`Obs`].
+const ILP_SERIES: SeriesNames = SeriesNames {
+    objective: "objective",
+    incumbent: "ilp.bb.incumbent",
+    bound: "ilp.bb.bound",
+};
+
 /// The anytime best-first branch-and-bound search. This is the former
 /// `branch_bound::solve_inner` extended with warm starts and the
 /// budget clock; the node-expansion order is untouched, so unbudgeted
@@ -541,8 +412,7 @@ fn search(
     budget: &Budget,
     warm_start: Option<&[f64]>,
     obs: &Obs,
-    rec: &SearchRecorder,
-    tree: &TreeRecorder,
+    em: &Emitter<'_>,
     stats: &mut BbStats,
 ) -> Result<SolveOutcome, SolveError> {
     // Work in minimization orientation internally.
@@ -568,27 +438,16 @@ fn search(
         match warm_incumbent(model, ws, &is_integral, options, sense_sign) {
             Some((values, obj)) => {
                 stats.incumbent_updates += 1;
-                obs.instant(
-                    "bb.incumbent",
-                    vec![
-                        ("objective".to_string(), ArgValue::F64(sense_sign * obj)),
-                        ("node".to_string(), ArgValue::U64(0)),
-                        ("warm_start".to_string(), ArgValue::U64(1)),
-                    ],
-                );
                 obs.add("ilp.engine.warm_start.accepted", 1);
-                obs.ts_sample("ilp.bb.incumbent", 0, sense_sign * obj);
-                rec.incumbent(0, obj, &values);
-                if tree.is_enabled() {
-                    tree.record(TreeEvent {
-                        kind: TreeEventKind::Incumbent,
+                em.emit(SearchEvent::Incumbent {
+                    at: At {
                         node: 0,
                         depth: 0,
                         bound: f64::NAN,
                         best: sense_sign * obj,
-                        var: None,
-                    });
-                }
+                    },
+                    point: Point::Values(&values),
+                });
                 incumbent = Some((values, obj));
             }
             None => obs.add("ilp.engine.warm_start.rejected", 1),
@@ -614,32 +473,34 @@ fn search(
     // Best-first pops see non-decreasing parent bounds, so the bound
     // of the most recent pop is a valid global optimistic bound.
     let mut bound_floor = f64::NEG_INFINITY;
-    // Tree telemetry reports bounds/objectives in the model's own
-    // orientation; `best_for_tree` is NaN (exported as null) while no
-    // incumbent exists. Node id = pop counter, a search-order value
-    // that is deterministic under node budgets (warm-start = node 0).
-    let best_for_tree =
+    // Events report bounds/objectives in the model's own orientation;
+    // `best` is NaN (exported as null) while no incumbent exists. Node
+    // id = pop counter, a search-order value that is deterministic
+    // under node budgets (warm-start = node 0).
+    let best =
         |inc: &Option<(Vec<f64>, f64)>| inc.as_ref().map_or(f64::NAN, |(_, b)| sense_sign * b);
 
     while let Some(HeapEntry { node, .. }) = heap.pop() {
         nodes += 1;
         stats.nodes = nodes;
         if node.bound > bound_floor && node.bound.is_finite() {
-            if rec.is_enabled() {
-                rec.bound(nodes, node.bound);
-            }
-            obs.ts_sample("ilp.bb.bound", nodes, sense_sign * node.bound);
+            em.emit(SearchEvent::Bound {
+                node: nodes,
+                value: sense_sign * node.bound,
+            });
         }
         bound_floor = bound_floor.max(node.bound);
-        if tree.is_enabled() {
-            tree.record(TreeEvent {
-                kind: TreeEventKind::Open,
-                node: nodes,
-                depth: node.depth,
-                bound: sense_sign * node.bound,
-                best: best_for_tree(&incumbent),
-                var: None,
-            });
+        let at = |bound: f64, best: f64| At {
+            node: nodes,
+            depth: node.depth,
+            bound,
+            best,
+        };
+        if em.nodes {
+            em.emit(SearchEvent::Open(at(
+                sense_sign * node.bound,
+                best(&incumbent),
+            )));
         }
         if let Some(kind) = clock.exhausted(nodes) {
             stopped = Some(kind);
@@ -648,16 +509,10 @@ fn search(
         // Prune against incumbent using the parent bound.
         if let Some((_, best)) = &incumbent {
             if node.bound >= *best - options.gap_tol {
-                if tree.is_enabled() {
-                    tree.record(TreeEvent {
-                        kind: TreeEventKind::PruneBound,
-                        node: nodes,
-                        depth: node.depth,
-                        bound: sense_sign * node.bound,
-                        best: sense_sign * best,
-                        var: None,
-                    });
-                }
+                em.emit(SearchEvent::Prune {
+                    at: at(sense_sign * node.bound, sense_sign * best),
+                    infeasible: false,
+                });
                 continue;
             }
         }
@@ -665,16 +520,10 @@ fn search(
         stats.simplex_pivots += pivots;
         let (values, objective) = match lp {
             LpResult::Infeasible => {
-                if tree.is_enabled() {
-                    tree.record(TreeEvent {
-                        kind: TreeEventKind::PruneInfeasible,
-                        node: nodes,
-                        depth: node.depth,
-                        bound: sense_sign * node.bound,
-                        best: best_for_tree(&incumbent),
-                        var: None,
-                    });
-                }
+                em.emit(SearchEvent::Prune {
+                    at: at(sense_sign * node.bound, best(&incumbent)),
+                    infeasible: true,
+                });
                 continue;
             }
             LpResult::Unbounded => {
@@ -687,35 +536,16 @@ fn search(
                 continue;
             }
             LpResult::Optimal {
-                values,
-                objective,
-                duals,
-                reduced_costs,
-            } => {
-                if nodes == 1 && rec.is_enabled() {
-                    rec.root_lp(&RootLp {
-                        values: values.clone(),
-                        objective,
-                        duals,
-                        reduced_costs,
-                    });
-                }
-                (values, objective)
-            }
+                values, objective, ..
+            } => (values, objective),
         };
         let min_obj = sense_sign * objective;
         if let Some((_, best)) = &incumbent {
             if min_obj >= *best - options.gap_tol {
-                if tree.is_enabled() {
-                    tree.record(TreeEvent {
-                        kind: TreeEventKind::PruneBound,
-                        node: nodes,
-                        depth: node.depth,
-                        bound: objective,
-                        best: sense_sign * best,
-                        var: None,
-                    });
-                }
+                em.emit(SearchEvent::Prune {
+                    at: at(objective, sense_sign * best),
+                    infeasible: false,
+                });
                 continue;
             }
         }
@@ -745,43 +575,21 @@ fn search(
                 match &incumbent {
                     Some((_, best)) if rounded_obj >= *best - options.gap_tol => {}
                     _ => {
-                        rec.incumbent(nodes, rounded_obj, &rounded);
+                        em.emit(SearchEvent::Incumbent {
+                            at: at(objective, sense_sign * rounded_obj),
+                            point: Point::Values(&rounded),
+                        });
                         incumbent = Some((rounded, rounded_obj));
                         stats.incumbent_updates += 1;
-                        obs.instant(
-                            "bb.incumbent",
-                            vec![
-                                (
-                                    "objective".to_string(),
-                                    ArgValue::F64(sense_sign * rounded_obj),
-                                ),
-                                ("node".to_string(), ArgValue::U64(nodes)),
-                            ],
-                        );
-                        obs.ts_sample("ilp.bb.incumbent", nodes, sense_sign * rounded_obj);
-                        if tree.is_enabled() {
-                            tree.record(TreeEvent {
-                                kind: TreeEventKind::Incumbent,
-                                node: nodes,
-                                depth: node.depth,
-                                bound: objective,
-                                best: sense_sign * rounded_obj,
-                                var: None,
-                            });
-                        }
                     }
                 }
             }
             Some((i, x)) => {
-                rec.branch(nodes, i, x);
-                if tree.is_enabled() {
-                    tree.record(TreeEvent {
-                        kind: TreeEventKind::Branch,
-                        node: nodes,
-                        depth: node.depth,
-                        bound: objective,
-                        best: best_for_tree(&incumbent),
-                        var: Some(i as u32),
+                if em.on {
+                    em.emit(SearchEvent::Order(&[i as u32]));
+                    em.emit(SearchEvent::Branch {
+                        at: at(objective, best(&incumbent)),
+                        var: i as u32,
                     });
                 }
                 let (lb, ub) = node.bounds[i];
@@ -822,8 +630,7 @@ fn search(
     if root_unbounded {
         return Err(SolveError::Unbounded);
     }
-    rec.stop(stopped, nodes);
-    tree.set_nodes(nodes);
+    em.emit(SearchEvent::Stop { stopped, nodes });
 
     if let Some(kind) = stopped {
         if bound_floor.is_finite() {
@@ -940,6 +747,7 @@ impl Ord for HeapEntry {
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Model};
+    use crate::tree::{TreeEvent, TreeEventKind, TreeRecorder};
 
     fn branching_model() -> (Model, crate::model::Var, crate::model::Var) {
         // max x + y s.t. 2x + y <= 7, x + 3y <= 9, integer x,y >= 0.
@@ -1145,9 +953,9 @@ mod tests {
     fn tree_capture_records_a_convergent_deterministic_search() {
         let (m, _, _) = branching_model();
         let run = || {
-            let tree = TreeRecorder::with_cap(1024);
-            let out = SolveRequest::new(&m).trace_tree(&tree).solve().unwrap();
-            (out, tree.take().unwrap())
+            let sink = SearchSink::default().with_tree(TreeRecorder::with_cap(1024));
+            let out = SolveRequest::new(&m).sink(&sink).solve().unwrap();
+            (out, sink.take_tree().unwrap())
         };
         let (out, log) = run();
         assert!(out.is_optimal());
@@ -1200,14 +1008,14 @@ mod tests {
         // valid deterministic dump of whatever survived.
         let (m, _, _) = branching_model();
         let obs = casa_obs::Obs::with_flight_capacity(3);
-        let tree = TreeRecorder::with_cap(2);
+        let sink = SearchSink::default().with_tree(TreeRecorder::with_cap(2));
         let out = SolveRequest::new(&m)
             .observe(&obs)
-            .trace_tree(&tree)
+            .sink(&sink)
             .solve()
             .unwrap();
         assert!(out.is_optimal());
-        let log = tree.take().unwrap();
+        let log = sink.take_tree().unwrap();
         assert_eq!(log.cap, 2);
         assert_eq!(log.events.len(), 2, "ring is full, never over");
         assert!(log.dropped > 0, "a real search overflows a 2-event ring");
@@ -1233,34 +1041,6 @@ mod tests {
         assert!(serde::json::parse(&json).is_ok(), "valid dump: {json}");
         let tree_json = crate::tree::tree_log_json(&log);
         assert!(serde::json::parse(&tree_json).is_ok());
-    }
-
-    #[test]
-    fn recorder_captures_root_lp_and_branch_provenance() {
-        let (m, _, _) = branching_model();
-        let rec = SearchRecorder::enabled();
-        let out = SolveRequest::new(&m).record(&rec).solve().unwrap();
-        assert!(out.is_optimal());
-        let log = rec.take().unwrap();
-        let root = log.root_lp.expect("root LP solved to optimality");
-        // Model-oriented root relaxation bound of the max problem: at
-        // least the integer optimum, with the known LP value 4.6.
-        assert!((root.objective - 4.6).abs() < 1e-6, "{}", root.objective);
-        assert_eq!(root.values.len(), 2);
-        assert_eq!(root.duals.len(), 2);
-        assert_eq!(root.reduced_costs.len(), 2);
-        assert!(root.duals.iter().all(|d| d.is_finite()));
-        // Both constraints bind at the fractional vertex (12/5, 11/5).
-        assert!(root.duals.iter().all(|&d| d > 0.0), "{:?}", root.duals);
-        // Branch provenance parallels the compact order and records a
-        // genuinely fractional LP value for each branch decision.
-        assert_eq!(log.branch_events.len(), log.branched.len());
-        for (k, &(node, var, x)) in log.branch_events.iter().enumerate() {
-            assert_eq!(var, log.branched[k]);
-            assert!(node >= 1 && node <= log.nodes);
-            assert!((x - x.round()).abs() > 1e-6, "branch value fractional: {x}");
-        }
-        assert!(!log.branch_events.is_empty(), "fractional root must branch");
     }
 
     #[test]

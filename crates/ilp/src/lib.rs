@@ -53,19 +53,18 @@ pub mod knapsack;
 pub mod lp_format;
 pub mod model;
 pub mod presolve;
+pub mod search;
 pub mod simplex;
 pub mod solution;
 pub mod tree;
 
 pub use branch_bound::{BbStats, SolverOptions};
-pub use engine::{
-    Budget, BudgetKind, CancelToken, EngineStatus, RootLp, SearchLog, SearchRecorder, SolveOutcome,
-    SolveRequest,
-};
+pub use engine::{Budget, BudgetKind, CancelToken, EngineStatus, SolveOutcome, SolveRequest};
 pub use knapsack::knapsack_01;
 pub use lp_format::to_lp_format;
 pub use model::{ConstraintOp, Model, Sense, Var};
 pub use presolve::{presolve, solve_presolved, solve_presolved_obs};
+pub use search::{SearchEvent, SearchSink};
 pub use simplex::solve_lp_counted;
 pub use solution::{Solution, SolveError, Status};
 pub use tree::{

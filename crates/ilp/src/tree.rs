@@ -6,9 +6,10 @@
 //! [`TreeEvent`] per interesting search step — node open, branch,
 //! prune-by-bound, prune-infeasible, incumbent — with stable node ids,
 //! depth, the node's local bound and the global best bound at that
-//! moment. Both B&B implementations in the workspace (the generic
-//! best-first engine in this crate and the specialized DFS in
-//! `casa-core`) emit through the same recorder.
+//! moment. It is the per-node projection of the search-event stream
+//! ([`crate::search`]) that both B&B implementations in the workspace
+//! emit: the generic best-first engine in this crate and the
+//! specialized DFS in `casa-core`.
 //!
 //! Determinism is inherited, not added: node ids are search-order
 //! counters and bounds are model arithmetic, so for node-budgeted or
@@ -119,10 +120,9 @@ struct TreeState {
     events: std::collections::VecDeque<TreeEvent>,
 }
 
-/// Capped recorder of [`TreeEvent`]s, cheap to pass around disabled
-/// (same `Option<Arc<Mutex<..>>>` shape as the engine's
-/// `SearchRecorder`): a disabled recorder makes every call a no-op so
-/// instrumented search loops cost nothing when capture is off.
+/// Capped recorder of [`TreeEvent`]s, cheap to pass around disabled:
+/// a disabled recorder makes every call a no-op. A search reaches it
+/// through its [`crate::search::SearchSink`].
 #[derive(Debug, Clone, Default)]
 pub struct TreeRecorder {
     inner: Option<Arc<(usize, Mutex<TreeState>)>>,

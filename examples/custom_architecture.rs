@@ -11,9 +11,10 @@
 //! cargo run --release --example custom_architecture
 //! ```
 
-use casa::core::casa_bb::allocate_bb;
 use casa::core::conflict::ConflictGraph;
 use casa::core::energy_model::EnergyModel;
+use casa::core::engine::{allocate, SolveCtx};
+use casa::core::flow::AllocatorKind;
 use casa::core::report::EnergyBreakdown;
 use casa::energy::{EnergyTable, TechParams};
 use casa::mem::cache::{CacheConfig, ReplacementPolicy};
@@ -69,7 +70,8 @@ fn main() {
     let table = EnergyTable::build(l1.size, 16, l1.associativity, spm, None, &tech)
         .with_l2(l2.size, 16, 1, &tech);
     let model = EnergyModel::new(&graph, &table);
-    let allocation = allocate_bb(&model, spm);
+    let ctx = SolveCtx::default();
+    let allocation = allocate(&model, spm, AllocatorKind::CasaBb, &ctx).allocation;
     println!(
         "CASA: {} objects on the scratchpad ({} B used, {} search nodes)",
         allocation.spm_count(),

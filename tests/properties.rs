@@ -3,18 +3,24 @@
 //! Property-based tests over the whole pipeline, driven by the seeded
 //! random program generator.
 
-use casa::core::casa_bb::allocate_bb;
-use casa::core::casa_ilp::{allocate_ilp, Linearization};
+use casa::core::allocation::Allocation;
 use casa::core::conflict::ConflictGraph;
 use casa::core::energy_model::EnergyModel;
+use casa::core::engine::{allocate, SolveCtx};
 use casa::core::flow::{run_spm_flow, AllocatorKind, FlowConfig, FlowCtx};
 use casa::energy::{EnergyTable, TechParams};
-use casa::ilp::SolverOptions;
 use casa::mem::cache::CacheConfig;
 use casa::workloads::generator::{random_spec, GeneratorConfig};
 use casa::workloads::Walker;
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// An unbudgeted exact solve, which must prove its answer optimal.
+fn solve(m: &EnergyModel<'_>, cap: u32, kind: AllocatorKind) -> Allocation {
+    let out = allocate(m, cap, kind, &SolveCtx::default());
+    assert!(out.status.is_optimal(), "{kind:?}: {:?}", out.status);
+    out.allocation
+}
 
 fn table() -> EnergyTable {
     EnergyTable {
@@ -91,11 +97,9 @@ proptest! {
         let g = ConflictGraph::from_parts(fetches, sizes, edges);
         let t = table();
         let m = EnergyModel::new(&g, &t);
-        let bb = allocate_bb(&m, cap);
-        let paper = allocate_ilp(&m, cap, Linearization::Paper, &SolverOptions::default())
-            .expect("paper ILP solves");
-        let tight = allocate_ilp(&m, cap, Linearization::Tight, &SolverOptions::default())
-            .expect("tight ILP solves");
+        let bb = solve(&m, cap, AllocatorKind::CasaBb);
+        let paper = solve(&m, cap, AllocatorKind::CasaIlpPaper);
+        let tight = solve(&m, cap, AllocatorKind::CasaIlpTight);
         let (eb, ep, et) = (
             bb.predicted_energy.unwrap(),
             paper.predicted_energy.unwrap(),
@@ -145,7 +149,7 @@ proptest! {
         let m = EnergyModel::new(&g, &t);
         let mut last = f64::INFINITY;
         for cap in [0u32, 32, 64, 128, 256, 512] {
-            let pred = allocate_bb(&m, cap).predicted_energy.expect("predicts");
+            let pred = solve(&m, cap, AllocatorKind::CasaBb).predicted_energy.expect("predicts");
             prop_assert!(
                 pred <= last + 1e-6,
                 "optimal energy must not grow with capacity: {} after {}",
